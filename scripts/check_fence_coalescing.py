@@ -10,12 +10,14 @@ invariant
     pfences/op  <=  (scalar pfences/op) / batch  +  EPSILON
 
 where the scalar baseline is the batch=1 row of the same
-(words, layout, mix). The bound is what the coalesced write path
-guarantees by construction — one record fence plus one publish fence per
-multi_put and one completion fence per multi_get, instead of the scalar
-path's per-op record/publish/completion fences — so a regression to
-per-op fencing (~2.5-3 pfences/op) fails loudly while run-to-run noise
-(CAS retries, flush-if-tagged helping) stays inside EPSILON.
+(words, layout, mix): one op per call, which the store runs as a batch
+of one (~1.5 pfences/op for A, ~2 for F). The bound is what the
+coalesced write path guarantees by construction — one record fence plus
+one publish fence per multi_put and one completion fence per multi_get,
+whatever the batch size — so a batched path that fenced per element
+again (~1.5-2 pfences/op, against a bound of ~0.9-1.0 at batch 4) fails
+loudly while run-to-run noise (CAS retries, flush-if-tagged helping)
+stays inside EPSILON.
 
 Exit 1 on any violation or if no batched write rows are found (an empty
 gate would pass vacuously).

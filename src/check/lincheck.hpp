@@ -140,10 +140,11 @@ class Lifetime {
 // Self-validation switchboard, mirroring FLIT_PERSIST_CHECK_UNSAFE and
 // FLIT_CRASHTEST_UNSAFE_ACK: each mode plants one precise bug in the kv
 // layer that the checker must catch with the right class and site.
-//   stale_read   — put defers its upsert until the next write, so a get
+//   stale_read   — a put (scalar or batched: the store has one put path)
+//                  parks its application until the next put, so a get
 //                  between them returns the superseded value (kStaleRead).
-//   lost_update  — put computes its return but never applies the write;
-//                  a later get misses it (kLostUpdate).
+//   lost_update  — a put computes its return but never applies the
+//                  write; a later get misses it (kLostUpdate).
 //   early_retire — a superseded record is freed immediately instead of
 //                  through EBR limbo (Lifetime kEarlyReclaim).
 
@@ -161,7 +162,7 @@ UnsafeMode unsafe_mode() noexcept;
 void set_unsafe_mode(UnsafeMode m) noexcept;
 
 /// stale_read support: park a write's real application until the next
-/// write to the same shard applies pending work (or a test flushes it).
+/// put applies pending work (or a test flushes it).
 void unsafe_defer(std::function<void()> fn);
 void unsafe_apply_pending();
 

@@ -1,6 +1,6 @@
 // batch.hpp — deferred-fence publication batches for the multi-op KV path.
 //
-// A scalar durable publish pays its own trailing pfence (Algorithm 4). A
+// A lone durable publish pays its own trailing pfence (Algorithm 4). A
 // batch of publishes instead leaves every published word tagged (persist<>
 // counter) or dirty (lap_word bit), issues ONE pfence covering all of the
 // batch's pwbs, and only then clears the per-word state — concurrent
@@ -79,13 +79,17 @@ class PublishBatch {
   std::vector<Pending> pending_;
 };
 
-/// Deferred-fence variant of replace_value (the upsert in-place overwrite,
-/// see tagged_ptr.hpp): the winning CAS leaves the word tagged/dirty and
+/// The replace half of the value-claim protocol (the upsert in-place
+/// overwrite, see tagged_ptr.hpp): CAS the word old→new until it succeeds
+/// — returning the superseded value, uniquely owned by the caller (but
+/// see kv::Shard::put_batched: retirement must wait for the batch fence)
+/// — or the value is found claimed by a removal, returning nullopt: the
+/// node is logically dead, and the caller should re-search (helping
+/// unlink) and fall back to inserting a fresh node. `cas_pflag` should be
+/// the Method's critical pflag — this CAS is the overwrite's durable
+/// linearization point. The winning CAS leaves the word tagged/dirty and
 /// enlists it in `batch`; the caller issues one pfence covering the whole
-/// batch and then batch.complete_all(). Same return contract as
-/// replace_value: the superseded value on success (uniquely owned by the
-/// caller — but see kv::Shard::put_batched: retirement must wait for the
-/// batch fence), nullopt when the value was claimed by a removal.
+/// batch and then batch.complete_all().
 template <class Word, class V = typename Word::value_type>
 std::optional<V> replace_value_deferred(Word& word, V v, bool load_pflag,
                                         bool cas_pflag, PublishBatch& batch)

@@ -107,10 +107,18 @@ class HarrisList {
   /// Insert-or-replace. Returns the superseded value when k was present
   /// (the caller owns cleanup of whatever it referenced — see the file
   /// comment), nullopt when this call freshly inserted k. The replacement
-  /// is one durable CAS on the node's value word: a concurrent find
-  /// observes the old or the new value, never absence. Pointer values
-  /// only (the coordination with removal needs bit 0 of the word).
-  std::optional<V> upsert(K k, V v)
+  /// is one CAS on the node's value word: a concurrent find observes the
+  /// old or the new value, never absence. Pointer values only (the
+  /// coordination with removal needs bit 0 of the word).
+  ///
+  /// The publish (value-word replace or fresh-node link) is a
+  /// deferred-fence CAS enlisted in `batch`, and no per-op completion
+  /// fence is issued — the caller pays one pfence for the whole batch and
+  /// then batch.complete_all() (see ds/batch.hpp and kv::Store's put
+  /// core). Precondition: everything `v` points at is already flushed,
+  /// and the caller fences those flushes before the first publish of the
+  /// batch.
+  std::optional<V> upsert_batched(K k, V v, PublishBatch& batch)
     requires std::is_pointer_v<V>
   {
     recl::Ebr::Guard g;
@@ -125,35 +133,6 @@ class HarrisList {
         // unclaimed, so the remover has not returned and the two
         // overlapping operations linearize as replace-then-remove (the
         // remover's claim captures — and owns — our value).
-        if (std::optional<V> old = replace_value(
-                curr->value, v, Method::critical_load,
-                Method::critical_store)) {
-          Words::operation_completion();
-          return old;
-        }
-        continue;
-      }
-      if (try_link(k, v, pred, curr)) {
-        Words::operation_completion();
-        return std::nullopt;
-      }
-    }
-  }
-
-  /// Batched upsert: identical set semantics to upsert(), but the publish
-  /// (value-word replace or fresh-node link) is a deferred-fence CAS
-  /// enlisted in `batch`, and no per-op completion fence is issued — the
-  /// caller pays one pfence for the whole batch and then
-  /// batch.complete_all() (see ds/batch.hpp and kv::Store::multi_put).
-  /// Precondition: everything `v` points at is already flushed, and the
-  /// caller fences those flushes before the first publish of the batch.
-  std::optional<V> upsert_batched(K k, V v, PublishBatch& batch)
-    requires std::is_pointer_v<V>
-  {
-    recl::Ebr::Guard g;
-    for (;;) {
-      auto [pred, curr] = search(k);
-      if (curr->key.load(Method::critical_load) == k) {
         if (std::optional<V> old = replace_value_deferred(
                 curr->value, v, Method::critical_load,
                 Method::critical_store, batch)) {
@@ -318,12 +297,12 @@ class HarrisList {
   /// One insertion attempt at the (pred, curr) position search() just
   /// computed: build the node, persist it, publish it with the critical
   /// CAS. False — node freed, nothing published — if the CAS lost; the
-  /// caller re-searches and retries. Shared by insert and upsert so the
-  /// publish/durability sequence exists exactly once. With a non-null
-  /// `batch` the publish CAS defers its trailing fence to the batch (the
-  /// node-init persist keeps its own fence either way: the node's bytes
-  /// must be durable before the link can be observed, and they were
-  /// flushed after the batch's record fence).
+  /// caller re-searches and retries. Shared by insert and upsert_batched
+  /// so the publish/durability sequence exists exactly once. With a
+  /// non-null `batch` the publish CAS defers its trailing fence to the
+  /// batch (the node-init persist keeps its own fence either way: the
+  /// node's bytes must be durable before the link can be observed, and
+  /// they were flushed after the batch's record fence).
   bool try_link(K k, V v, Node* pred, Node* curr,
                 PublishBatch* batch = nullptr) {
     Node* node = pmem::pnew<Node>(k, v, curr);

@@ -56,14 +56,6 @@ class HashTable {
   HashTable(HashTable&&) noexcept = default;
 
   bool insert(K k, V v) { return bucket(k).insert(k, v); }
-  /// Insert-or-replace with an atomic in-place value CAS (pointer values
-  /// only; see HarrisList::upsert). Returns the superseded value when k
-  /// was present, nullopt on a fresh insert.
-  std::optional<V> upsert(K k, V v)
-    requires std::is_pointer_v<V>
-  {
-    return bucket(k).upsert(k, v);
-  }
   bool remove(K k) { return bucket(k).remove(k); }
   /// Remove k, returning the removed value (see HarrisList::remove_get).
   std::optional<V> remove_get(K k) { return bucket(k).remove_get(k); }
@@ -80,8 +72,10 @@ class HashTable {
   std::optional<V> find_batched(K k) const {
     return bucket(k).find_batched(k);
   }
-  /// Upsert whose publish defers its fence to `batch` (see
-  /// HarrisList::upsert_batched).
+  /// Insert-or-replace with an atomic in-place value CAS whose publish
+  /// defers its fence to `batch` (pointer values only; see
+  /// HarrisList::upsert_batched). Returns the superseded value when k was
+  /// present, nullopt on a fresh insert.
   std::optional<V> upsert_batched(K k, V v, PublishBatch& batch)
     requires std::is_pointer_v<V>
   {

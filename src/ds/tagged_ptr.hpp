@@ -12,7 +12,6 @@
 
 #include <cassert>
 #include <cstdint>
-#include <optional>
 #include <type_traits>
 
 namespace flit::ds {
@@ -55,13 +54,14 @@ std::uintptr_t get_bits(P* p, std::uintptr_t bits) noexcept {
 // --- the value-claim protocol (shared by HarrisList and SkipList) ----------
 //
 // Pointer-valued nodes support atomic in-place value replacement (upsert):
-// the value word is CASed old→new on a live node, and the removal that won
-// the node's next-pointer mark CAS *claims* the final value by CASing it to
-// its bit-0-marked form. The word's successful CASes thus form one linear
-// chain ending in a marked pointer, which gives every superseded value
-// exactly one owner — the CAS winner that replaced it — and a marked value
-// can only ever be observed on a node whose removal already linearized, so
-// readers treat it as absence.
+// the value word is CASed old→new on a live node (replace_value_deferred
+// in batch.hpp), and the removal that won the node's next-pointer mark CAS
+// *claims* the final value by CASing it to its bit-0-marked form. The
+// word's successful CASes thus form one linear chain ending in a marked
+// pointer, which gives every superseded value exactly one owner — the CAS
+// winner that replaced it — and a marked value can only ever be observed
+// on a node whose removal already linearized, so readers treat it as
+// absence.
 
 /// True iff a loaded value is a claimed (removal-owned) pointer. Always
 /// false for non-pointer values, which are immutable once published.
@@ -105,28 +105,6 @@ typename Word::value_type claim_value(Word& word, bool load_pflag,
   } else {
     return word.load_private();
   }
-}
-
-/// The replace half of the protocol (upsert's in-place overwrite): CAS
-/// the word old→new until it succeeds — returning the superseded value,
-/// which the caller now uniquely owns — or the value is found claimed by
-/// a removal, returning nullopt: the node is logically dead, and the
-/// caller should re-search (helping unlink) and fall back to inserting a
-/// fresh node. `cas_pflag` should be the Method's critical pflag — this
-/// CAS is the overwrite's durable linearization point, and the caller
-/// must have fully persisted what `v` points at before installing it.
-template <class Word, class V = typename Word::value_type>
-std::optional<V> replace_value(Word& word, V v, bool load_pflag,
-                               bool cas_pflag) noexcept
-  requires std::is_pointer_v<V>
-{
-  V old = word.load(load_pflag);
-  while (!is_marked(old)) {
-    V expected = old;
-    if (word.cas(expected, v, cas_pflag)) return old;
-    old = expected;
-  }
-  return std::nullopt;
 }
 
 }  // namespace flit::ds

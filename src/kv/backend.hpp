@@ -16,18 +16,16 @@
 //   Backend(std::size_t capacity_hint);       // fresh structure
 //   static Backend recover(Roots*);           // volatile handle rebuild
 //   Roots* roots();
-//   bool insert(Key, Record*);                // false if key present
-//   std::optional<Record*> upsert(Key, Record*);  // atomic in-place
-//                                             // replace-or-insert; the
-//                                             // superseded record (owned
-//                                             // by the caller) or nullopt
 //   std::optional<Record*> remove_get(Key);   // unique unlink ownership
-//   std::optional<Record*> find(Key);
 //   bool contains(Key);
 //   void prepare(Key);                        // prefetch probe entry
-//   std::optional<Record*> find_batched(Key); // lookup, caller fences batch
+//   std::optional<Record*> find_batched(Key); // lookup, caller fences
 //   std::optional<Record*> upsert_batched(Key, Record*, ds::PublishBatch&);
-//                                             // deferred-fence publication
+//                                             // atomic in-place replace-
+//                                             // or-insert with a deferred-
+//                                             // fence publish; the
+//                                             // superseded record (owned
+//                                             // by the caller) or nullopt
 //   std::size_t count();                      // O(data) reachable sweep
 //   void release();                           // disown persisted nodes
 //   for_each_linked(f);                       // recovery sweep, see below
@@ -87,12 +85,7 @@ class HashBackend {
   }
 
   Roots* roots() const noexcept { return table_.roots(); }
-  bool insert(Key k, Record* r) { return table_.insert(k, r); }
-  std::optional<Record*> upsert(Key k, Record* r) {
-    return table_.upsert(k, r);
-  }
   std::optional<Record*> remove_get(Key k) { return table_.remove_get(k); }
-  std::optional<Record*> find(Key k) const { return table_.find(k); }
   bool contains(Key k) const { return table_.contains(k); }
   void prepare(Key k) const noexcept { table_.prepare(k); }
   std::optional<Record*> find_batched(Key k) const {
@@ -190,12 +183,7 @@ class OrderedBackend {
   }
 
   Roots* roots() const noexcept { return roots_; }
-  bool insert(Key k, Record* r) { return list_.insert(k, r); }
-  std::optional<Record*> upsert(Key k, Record* r) {
-    return list_.upsert(k, r);
-  }
   std::optional<Record*> remove_get(Key k) { return list_.remove_get(k); }
-  std::optional<Record*> find(Key k) const { return list_.find_value(k); }
   bool contains(Key k) const { return list_.contains(k); }
   void prepare(Key k) const noexcept { list_.prepare(k); }
   std::optional<Record*> find_batched(Key k) const {

@@ -8,9 +8,9 @@
 // values. A shard composes the two:
 //
 //   * values live in Records — variable-length blocks in the persistent
-//     pool, fully written and published with a persist_range (one pwb per
-//     cache line + pfence) *before* the structure ever points at them, so
-//     a record reachable from a persisted link is always intact;
+//     pool, fully written, flushed (one pwb per cache line) and fenced
+//     *before* the structure ever points at them, so a record reachable
+//     from a persisted link is always intact;
 //   * the backend structure stores Record* and provides durable
 //     linearizability of the key→record mapping via the Words×Method
 //     grid, exactly like the paper's evaluated structures;
@@ -19,14 +19,14 @@
 //     the record's bytes under an Ebr::Guard never see freed memory.
 //
 // Overwrite semantics: put over an existing key is a single durable CAS
-// on the node's value word (the backend's upsert), installing the new
-// record in place of the old one. A concurrent get or scan observes the
+// on the node's value word (the backend's upsert_batched), installing the
+// new record in place of the old one. A concurrent get or scan observes the
 // old or the new complete value — never absence, never a torn mix — and
 // a crash recovers one of the two. Retirement stays unique because the
 // value word's successful CASes form one linear chain: each record is
-// superseded by exactly one upsert (whose put retires it) or claimed by
-// exactly one removal (whose remove retires it) — see the value-claim
-// protocol in ds/harris_list.hpp.
+// superseded by exactly one upsert (whose put retires it, after the
+// put's covering fence) or claimed by exactly one removal (whose remove
+// retires it) — see the value-claim protocol in ds/harris_list.hpp.
 #pragma once
 
 #include <atomic>
@@ -66,14 +66,12 @@ struct Record {
     return sizeof(Record) + payload;
   }
 
-  /// Allocate a record in the persistent pool and, when `persistent`, make
-  /// its bytes durable before the caller publishes a pointer to it. With
-  /// `fence = false` the bytes are flushed (one pwb per line) but the
-  /// pfence is left to the caller, who batches many records and fences
-  /// ONCE before publishing any of them (see Store::multi_put) —
-  /// persist-before-publish per record is preserved while the fence cost
-  /// drops from O(batch) to O(1).
-  template <bool persistent, bool fence = true>
+  /// Allocate a record in the persistent pool and, when `persistent`,
+  /// flush its bytes (one pwb per line). The pfence is the caller's: the
+  /// store creates all of a call's records and fences ONCE before
+  /// publishing any of them (see Store::apply_puts), so persist-before-
+  /// publish holds per record while the fence cost stays O(1) per call.
+  template <bool persistent>
   static Record* create(std::string_view value) {
     if (value.size() > kMaxValueBytes) {
       throw std::length_error("kv::Record: value too large");
@@ -82,13 +80,7 @@ struct Record {
         pmem::Pool::instance().alloc(bytes(value.size())));
     r->len = static_cast<std::uint32_t>(value.size());
     if (!value.empty()) std::memcpy(r->data(), value.data(), value.size());
-    if constexpr (persistent) {
-      if constexpr (fence) {
-        pmem::persist_range(r, bytes(value.size()));
-      } else {
-        pmem::pwb_range(r, bytes(value.size()));
-      }
-    }
+    if constexpr (persistent) pmem::pwb_range(r, bytes(value.size()));
     return r;
   }
 
@@ -122,9 +114,10 @@ struct Record {
 };
 
 /// One shard of the store: a FliT set structure (the Backend — see
-/// backend.hpp for the contract) over a value-record slab. Thread-safe
-/// for put/get/remove/contains/scan; the recovery members are
-/// single-threaded (open/recover-time) only.
+/// backend.hpp for the contract) over a value-record slab. Every
+/// operation is thread-safe; the recovery members are single-threaded
+/// (open/recover-time) only. Puts and gets are driven by Store's
+/// operation cores, which own the fences (see put_batched/get_batched).
 template <class Backend>
 class Shard {
  public:
@@ -152,70 +145,11 @@ class Shard {
   }
 
   /// Keys the underlying structures reserve for their sentinel nodes.
-  /// put() rejects them; get/contains/remove treat them as always absent
-  /// (they can never have been stored).
+  /// Store's put rejects them; lookups and removals treat them as always
+  /// absent (they can never have been stored).
   static constexpr bool reserved_key(Key k) noexcept {
     return k == std::numeric_limits<Key>::min() ||
            k == std::numeric_limits<Key>::max();
-  }
-
-  /// Insert or overwrite. Returns true if k was absent (fresh insert).
-  /// Durability: the record is fully persisted before the backend links
-  /// it, and the link — a fresh node's publish CAS or an overwrite's
-  /// in-place value-word CAS — is durably linearizable per Words×Method.
-  /// An overwrite is atomic: concurrent reads observe the old or new
-  /// value, never absence (see the file comment). Throws
-  /// std::invalid_argument on a reserved sentinel key, std::length_error
-  /// past Record::kMaxValueBytes, and std::bad_alloc on a full pool (the
-  /// unpublished record is freed).
-  bool put(Key k, std::string_view value) {
-    if (reserved_key(k)) {
-      throw std::invalid_argument("kv: INT64_MIN/INT64_MAX are reserved");
-    }
-    if constexpr (check::kLinCheckEnabled) {
-      const check::UnsafeMode m = check::unsafe_mode();
-      if (m == check::UnsafeMode::kLostUpdate) {
-        // Seeded bug (FLIT_LINCHECK_UNSAFE=lost_update): compute the
-        // fresh-insert flag but never apply the write — a later get
-        // misses this update and the checker must report kLostUpdate.
-        return !backend_.contains(k);
-      }
-      if (m == check::UnsafeMode::kStaleRead) {
-        // Seeded bug (FLIT_LINCHECK_UNSAFE=stale_read): park the real
-        // application until the next write flushes pending work. A get
-        // between this call's return and that flush observes the
-        // superseded value — the checker must report kStaleRead.
-        check::unsafe_apply_pending();
-        Record* rec = Record::create<Backend::kPersistent>(value);
-        if constexpr (Backend::kPersistent) {
-          pmem::pc_publish(rec, Record::bytes(rec->len), "kv::Shard::put");
-        }
-        const bool fresh = !backend_.contains(k);
-        check::unsafe_defer([this, k, rec] { apply_put(k, rec); });
-        return fresh;
-      }
-    }
-    // No guard here: the record is thread-private until upsert publishes
-    // it, the backend operations pin their own epochs, and pinning across
-    // a large value's copy + per-line flush would stall reclamation
-    // everywhere else.
-    Record* rec = Record::create<Backend::kPersistent>(value);
-    if constexpr (Backend::kPersistent) {
-      pmem::pc_publish(rec, Record::bytes(rec->len), "kv::Shard::put");
-    }
-    return apply_put(k, rec);
-  }
-
-  /// Copy out the value for k (nullopt if absent). The Ebr::Guard spans
-  /// the pointer lookup *and* the byte copy: the record cannot be freed
-  /// while we read it.
-  std::optional<std::string> get(Key k) const {
-    if (reserved_key(k)) return std::nullopt;
-    recl::Ebr::Guard g;
-    const std::optional<Record*> rec = backend_.find(k);
-    if (!rec) return std::nullopt;
-    check::lc_deref(*rec, "kv::Shard::get");
-    return std::string((*rec)->view());
   }
 
   /// Remove k. Returns true if it was present; the removal is durably
@@ -235,7 +169,7 @@ class Shard {
     return !reserved_key(k) && backend_.contains(k);
   }
 
-  // --- batched multi-op path (see Store::multi_get / multi_put) -----------
+  // --- the store's operation cores (Store::get_core / apply_puts) ---------
 
   /// Prefetch the backend's probe entry for an upcoming operation on k —
   /// called for key i+1 while key i's cache misses are outstanding.
@@ -243,10 +177,10 @@ class Shard {
     if (!reserved_key(k)) backend_.prepare(k);
   }
 
-  /// Batched lookup: like get(), but without the per-op completion fence
-  /// (the caller fences once per batch) and under the *caller's*
+  /// Copy out the value for k (nullopt if absent), without a completion
+  /// fence (the caller fences once per call) and under the *caller's*
   /// Ebr::Guard, which must span the call — the returned string is copied
-  /// from the record under that guard.
+  /// from the record under that guard, so it can never be freed mid-copy.
   std::optional<std::string> get_batched(Key k) const {
     if (reserved_key(k)) return std::nullopt;
     const std::optional<Record*> rec = backend_.find_batched(k);
@@ -255,14 +189,14 @@ class Shard {
     return std::string((*rec)->view());
   }
 
-  /// Batched insert-or-overwrite of a record the caller has already
-  /// flushed and fenced (Record::create<persistent, false> + one batch
-  /// pfence). The publish is a deferred-fence CAS enlisted in `batch`; a
-  /// superseded record is appended to `superseded` instead of retired
-  /// here — the caller may retire it only AFTER the batch's covering
-  /// pfence, because until the new link is durable, recycling the old
-  /// record's bytes could leave a crash image whose (still old) link
-  /// points at clobbered storage. Returns true on a fresh insert.
+  /// Insert-or-overwrite of a record the caller has already flushed and
+  /// fenced (Record::create + the call's record pfence). The publish is a
+  /// deferred-fence CAS enlisted in `batch`; a superseded record is
+  /// appended to `superseded` instead of retired here — the caller may
+  /// retire it only AFTER the batch's covering pfence, because until the
+  /// new link is durable, recycling the old record's bytes could leave a
+  /// crash image whose (still old) link points at clobbered storage.
+  /// Returns true on a fresh insert.
   bool put_batched(Key k, Record* rec, ds::PublishBatch& batch,
                    std::vector<Record*>& superseded) {
     if constexpr (Backend::kPersistent) {
@@ -380,30 +314,6 @@ class Shard {
 
  private:
   explicit Shard(Backend&& b) noexcept : backend_(std::move(b)) {}
-
-  /// The publish half of put(): install the already-persisted record and
-  /// retire whatever it superseded. Split out so the seeded stale_read
-  /// bug can defer exactly this step.
-  bool apply_put(Key k, Record* rec) {
-    std::optional<Record*> old;
-    try {
-      old = backend_.upsert(k, rec);
-    } catch (...) {
-      // upsert's node allocation can throw on a near-full pool; rec was
-      // never published, so free it immediately rather than leak it.
-      pmem::Pool::instance().dealloc(rec, Record::bytes(rec->len));
-      throw;
-    }
-    if (old) {
-      // We won the value-word CAS that superseded *old: unique retirement
-      // ownership. The counter is untouched — an overwrite changes no
-      // key's presence, so size() no longer dips during overwrites.
-      Record::retire<Backend::kPersistent>(*old);
-      return false;
-    }
-    approx_size_.fetch_add(1, std::memory_order_relaxed);
-    return true;
-  }
 
   Backend backend_;
   /// Linearized inserts minus removes; see size(). Cache-line aligned:

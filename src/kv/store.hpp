@@ -46,13 +46,13 @@
 // Consistency contract: get/put/remove on a single key are atomic and
 // durably linearizable per the Words×Method configuration — including
 // put over an *existing* key, which is a single durable CAS installing
-// the new value record in place of the old one (the backend upsert; see
-// shard.hpp). A concurrent get or scan observes the old or the new
-// complete value, never absence and never a torn mix, and a crash
-// mid-overwrite recovers exactly one of the two. No *returned* operation
-// is ever lost. scan() is ordered but not an atomic snapshot (see the
-// method comment); size() is an O(1) approximate counter, exact at
-// quiescence and untouched by overwrites (see Shard::size and
+// the new value record in place of the old one (the backend's
+// upsert_batched; see shard.hpp). A concurrent get or scan observes the
+// old or the new complete value, never absence and never a torn mix, and
+// a crash mid-overwrite recovers exactly one of the two. No *returned*
+// operation is ever lost. scan() is ordered but not an atomic snapshot
+// (see the method comment); size() is an O(1) approximate counter, exact
+// at quiescence and untouched by overwrites (see Shard::size and
 // ARCHITECTURE.md).
 //
 // Lifetime contract: a Store handle is volatile; the persistent bytes are
@@ -448,6 +448,26 @@ class Store {
   }
 
   // --- the KV API ----------------------------------------------------------
+  // Every operation kind has ONE implementation, a private core over a
+  // span of elements (put_core / get_core / remove_core below). The
+  // scalar calls hand it a one-element span; the multi-ops hand it the
+  // caller's batch. Real serving traffic arrives in batches (RPC
+  // multi-get, pipelined writes), and the cores exploit that three ways:
+  // (1) ops are grouped by destination shard, so consecutive probes share
+  // shard-local state; (2) lookups are pipelined — while key i's cache
+  // miss is outstanding, key i+1's probe entry is software-prefetched;
+  // (3) writes coalesce their persistence: all of a call's records are
+  // flushed and fenced ONCE before any is published, the publish CASes
+  // defer their trailing fences to one shared pfence, and only then are
+  // the published words untagged. Per-element durability-before-
+  // publication is preserved — see ARCHITECTURE.md ("Batched multi-op
+  // path") for the full argument. A one-element put pays the same two
+  // fences (plus a fresh node's own persist fence), which is also the
+  // least a durable put can pay: one to make the record durable before
+  // its link, one to make the link durable before the call returns. The
+  // cores allocate nothing of their own (per-thread scratch) and skip the
+  // grouping sort for one element, so a scalar call carries no batching
+  // overhead worth a separate code path.
 
   /// Insert or overwrite. Returns true if k was absent (fresh insert).
   /// Durably linearizable per Words×Method; an overwrite is one atomic
@@ -456,20 +476,12 @@ class Store {
   /// std::invalid_argument on the reserved sentinel keys
   /// (INT64_MIN/INT64_MAX), std::length_error past Record::kMaxValueBytes,
   /// kv::OutOfSpace on a full pool (nothing applied, nothing leaked —
-  /// the shard frees any unpublished record before the throw escapes),
+  /// the unpublished record is freed before the throw escapes),
   /// kv::StoreReadOnly when the store is latched degraded (see health()).
   bool put(Key k, std::string_view value) {
-    ensure_writable();
-    const std::uint64_t inv = check::lc_begin();
-    bool fresh;
-    try {
-      fresh = shard_for(k).put(k, value);
-    } catch (const OutOfSpace&) {
-      throw;
-    } catch (const std::bad_alloc&) {
-      throw OutOfSpace();
-    }
-    check::lc_end_write(inv, check::Op::kPut, k, value, fresh);
+    const std::pair<Key, std::string_view> kv{k, value};
+    bool fresh = false;
+    put_core({&kv, 1}, &fresh);
     return fresh;
   }
 
@@ -477,10 +489,8 @@ class Store {
   /// a private copy taken under an EBR guard — always intact, never torn,
   /// even against concurrent overwrites of k.
   std::optional<std::string> get(Key k) const {
-    const std::uint64_t inv = check::lc_begin();
-    std::optional<std::string> out = shard_for(k).get(k);
-    check::lc_end_read(inv, k, out.has_value(),
-                       out ? std::string_view(*out) : std::string_view{});
+    std::optional<std::string> out;
+    get_core({&k, 1}, &out);
     return out;
   }
 
@@ -489,10 +499,8 @@ class Store {
   /// kv::StoreReadOnly when latched degraded (a removal is a mutation:
   /// acknowledging it un-durably would lie exactly like a put).
   bool remove(Key k) {
-    ensure_writable();
-    const std::uint64_t inv = check::lc_begin();
-    const bool present = shard_for(k).remove(k);
-    check::lc_end_write(inv, check::Op::kRemove, k, {}, present);
+    bool present = false;
+    remove_core({&k, 1}, &present);
     return present;
   }
 
@@ -503,53 +511,14 @@ class Store {
     return hit;
   }
 
-  // --- batched multi-operations --------------------------------------------
-  // Real serving traffic arrives in batches (RPC multi-get, pipelined
-  // writes). The multi-ops exploit that three ways: (1) ops are grouped by
-  // destination shard, so consecutive probes share shard-local state; (2)
-  // lookups are pipelined — while key i's cache miss is outstanding, key
-  // i+1's probe entry is software-prefetched; (3) writes coalesce their
-  // persistence: all of a batch's records are flushed and fenced ONCE
-  // before any is published, the publish CASes defer their trailing
-  // fences to one shared pfence, and only then are the published words
-  // untagged. Per-element durability-before-publication is preserved —
-  // see ARCHITECTURE.md ("Batched multi-op path") for the full argument.
-  // Scalar get/put/remove are untouched.
-
   /// Batched get: out[i] corresponds to keys[i] (nullopt if absent; a
   /// reserved sentinel key is simply absent, as in get()). Duplicate keys
   /// are looked up independently. Each returned value is a private,
   /// never-torn copy; one completion fence covers the whole batch.
   std::vector<std::optional<std::string>> multi_get(
       std::span<const Key> keys) const {
-    const std::size_t n = keys.size();
-    std::vector<std::optional<std::string>> out(n);
-    if (n == 0) return out;
-    const std::uint64_t lc_inv = check::lc_begin();
-    std::vector<std::uint32_t> sidx, order;
-    group_by_shard(
-        n, [&](std::size_t i) { return keys[i]; }, sidx, order);
-    {
-      recl::Ebr::Guard g;  // spans every lookup + record copy
-      for (std::size_t pos = 0; pos < n; ++pos) {
-        if (pos + 1 < n) {
-          const std::uint32_t j = order[pos + 1];
-          shards_[sidx[j]].prepare(keys[j]);
-        }
-        const std::uint32_t i = order[pos];
-        out[i] = shards_[sidx[i]].get_batched(keys[i]);
-      }
-    }
-    Words::operation_completion();  // one fence for the whole batch
-    if constexpr (check::kLinCheckEnabled) {
-      // Every element shares the batch's inv tick (its lookup could have
-      // linearized any time after the call began); resp ticks are per
-      // element, taken now, after all lookups completed.
-      for (std::size_t i = 0; i < n; ++i) {
-        check::lc_end_read(lc_inv, keys[i], out[i].has_value(),
-                           out[i] ? *out[i] : std::string_view{});
-      }
-    }
+    std::vector<std::optional<std::string>> out(keys.size());
+    get_core(keys, out.data());
     return out;
   }
 
@@ -574,106 +543,11 @@ class Store {
   /// nothing leaked). kv::StoreReadOnly when latched degraded.
   std::vector<bool> multi_put(
       std::span<const std::pair<Key, std::string_view>> kvs) {
-    ensure_writable();
-    try {
-      return multi_put_impl(kvs);
-    } catch (const OutOfSpace&) {
-      throw;
-    } catch (const std::bad_alloc&) {
-      // The cleanup already ran inside the impl's phase handlers (records
-      // freed, partial publishes committed durable); only the type is
-      // widened here.
-      throw OutOfSpace();
-    }
-  }
-
- private:
-  std::vector<bool> multi_put_impl(
-      std::span<const std::pair<Key, std::string_view>> kvs) {
-    const std::size_t n = kvs.size();
-    std::vector<bool> fresh(n, false);
-    if (n == 0) return fresh;
-    for (const auto& [k, v] : kvs) {
-      if (Shard_::reserved_key(k)) {
-        throw std::invalid_argument("kv: INT64_MIN/INT64_MAX are reserved");
-      }
-      (void)v;
-    }
-    const std::uint64_t lc_inv = check::lc_begin();
-    std::vector<std::uint32_t> sidx, order;
-    group_by_shard(
-        n, [&](std::size_t i) { return kvs[i].first; }, sidx, order);
-
-    // Phase 1: create + flush every record, then ONE fence. Nothing is
-    // published yet, so any throw here just frees the private records.
-    std::vector<Record*> recs(n, nullptr);
-    std::size_t created = 0;
-    try {
-      for (; created < n; ++created) {
-        recs[created] =
-            Record::create<Backend_::kPersistent, /*fence=*/false>(
-                kvs[created].second);
-      }
-    } catch (...) {
-      for (std::size_t i = 0; i < created; ++i) {
-        pmem::Pool::instance().dealloc(recs[i], Record::bytes(recs[i]->len));
-      }
-      throw;
-    }
-    if constexpr (Backend_::kPersistent) pmem::pfence();
-
-    // Phase 2: publish shard by shard with deferred fences, prefetching
-    // the next element's probe entry while the current one is in flight.
-    // Superseded records are collected, NOT retired yet: until the final
-    // fence lands, a crash image can still hold the old link, and retired
-    // storage could be recycled under it.
-    ds::PublishBatch batch;
-    batch.reserve(n);  // enlist must be nofail: it runs post-publish
-    std::vector<Record*> superseded;
-    superseded.reserve(n);
-    std::size_t done = 0;
-    try {
-      recl::Ebr::Guard g;
-      for (std::size_t pos = 0; pos < n; ++pos) {
-        if (pos + 1 < n) {
-          const std::uint32_t j = order[pos + 1];
-          shards_[sidx[j]].prepare(kvs[j].first);
-        }
-        const std::uint32_t i = order[pos];
-        fresh[i] =
-            shards_[sidx[i]].put_batched(kvs[i].first, recs[i], batch,
-                                         superseded);
-        ++done;
-      }
-    } catch (...) {
-      // Publishes so far must still become durable and untagged; the
-      // failing element's record (and any never-reached ones) were never
-      // published and are freed in place.
-      commit_publishes(batch, superseded);
-      for (std::size_t pos = done; pos < n; ++pos) {
-        Record* r = recs[order[pos]];
-        pmem::Pool::instance().dealloc(r, Record::bytes(r->len));
-      }
-      throw;
-    }
-
-    // Phase 3: one fence covers every publish pwb, then untag/clear and
-    // retire the superseded records.
-    commit_publishes(batch, superseded);
-    if constexpr (check::kLinCheckEnabled) {
-      // Recorded only on full success: an exception path leaves a prefix
-      // applied but unrecorded, which the checker cannot distinguish from
-      // crashes — acceptable, since the recorder is test-scoped and the
-      // stress drivers never overcommit the pool.
-      for (std::size_t i = 0; i < n; ++i) {
-        check::lc_end_write(lc_inv, check::Op::kPut, kvs[i].first,
-                            kvs[i].second, fresh[i]);
-      }
-    }
+    std::vector<bool> fresh(kvs.size(), false);
+    put_core(kvs, fresh.begin());
     return fresh;
   }
 
- public:
   /// Batched remove: out[i] is remove()'s return for keys[i] (reserved
   /// sentinel keys report false). Elements are applied in batch order;
   /// grouping and prefetching amortize the probes, but each removal keeps
@@ -681,28 +555,8 @@ class Store {
   /// where records dominate the persistence bill. Throws
   /// kv::StoreReadOnly when latched degraded.
   std::vector<bool> multi_remove(std::span<const Key> keys) {
-    ensure_writable();
-    const std::size_t n = keys.size();
-    std::vector<bool> out(n, false);
-    if (n == 0) return out;
-    const std::uint64_t lc_inv = check::lc_begin();
-    std::vector<std::uint32_t> sidx, order;
-    group_by_shard(
-        n, [&](std::size_t i) { return keys[i]; }, sidx, order);
-    for (std::size_t pos = 0; pos < n; ++pos) {
-      if (pos + 1 < n) {
-        const std::uint32_t j = order[pos + 1];
-        shards_[sidx[j]].prepare(keys[j]);
-      }
-      const std::uint32_t i = order[pos];
-      out[i] = shards_[sidx[i]].remove(keys[i]);
-    }
-    if constexpr (check::kLinCheckEnabled) {
-      for (std::size_t i = 0; i < n; ++i) {
-        check::lc_end_write(lc_inv, check::Op::kRemove, keys[i], {},
-                            out[i]);
-      }
-    }
+    std::vector<bool> out(keys.size(), false);
+    remove_core(keys, out.begin());
     return out;
   }
 
@@ -1101,38 +955,259 @@ class Store {
     return shards_[shard_index(k)];
   }
 
-  /// Stable counting sort of a batch by destination shard: sidx[i] is
-  /// element i's shard, order[] lists element indices shard-major with
+  /// Per-thread working memory of the operation cores. Reused across
+  /// calls, so once a thread's buffers have grown to its largest batch a
+  /// call allocates nothing of its own. A core takes it once per call and
+  /// nothing a core runs re-enters another core on the same thread (the
+  /// seeded stale_read bug replays its parked batch before taking it).
+  struct Scratch {
+    std::vector<std::uint32_t> sidx, order, offset;
+    std::vector<Record*> recs, superseded;
+    ds::PublishBatch batch;
+  };
+  static Scratch& scratch() noexcept {
+    thread_local Scratch s;
+    return s;
+  }
+
+  /// Stable counting sort of a batch by destination shard: s.sidx[i] is
+  /// element i's shard, s.order[] lists element indices shard-major with
   /// batch order preserved within each shard (duplicate keys apply in
   /// submission order — the documented last-wins semantics depend on this
-  /// stability).
+  /// stability). A single element needs no sort.
   template <class KeyOf>
-  void group_by_shard(std::size_t n, KeyOf key_of,
-                      std::vector<std::uint32_t>& sidx,
-                      std::vector<std::uint32_t>& order) const {
-    sidx.resize(n);
-    order.resize(n);
-    std::vector<std::uint32_t> offset(shards_.size(), 0);
+  void group_by_shard(std::size_t n, KeyOf key_of, Scratch& s) const {
+    s.sidx.resize(n);
+    s.order.resize(n);
+    if (n == 1) {
+      s.sidx[0] = static_cast<std::uint32_t>(shard_index(key_of(0)));
+      s.order[0] = 0;
+      return;
+    }
+    s.offset.assign(shards_.size(), 0);
     for (std::size_t i = 0; i < n; ++i) {
-      sidx[i] = static_cast<std::uint32_t>(shard_index(key_of(i)));
-      ++offset[sidx[i]];
+      s.sidx[i] = static_cast<std::uint32_t>(shard_index(key_of(i)));
+      ++s.offset[s.sidx[i]];
     }
     std::uint32_t sum = 0;
-    for (std::uint32_t& o : offset) {
+    for (std::uint32_t& o : s.offset) {
       const std::uint32_t c = o;
       o = sum;
       sum += c;
     }
     for (std::size_t i = 0; i < n; ++i) {
-      order[offset[sidx[i]]++] = static_cast<std::uint32_t>(i);
+      s.order[s.offset[s.sidx[i]]++] = static_cast<std::uint32_t>(i);
     }
   }
 
-  /// multi_put's closing sequence: one pfence covering every deferred
-  /// publish pwb, THEN untag/clear the published words (Condition 3), and
-  /// only then retire the superseded records — retiring before the fence
-  /// could let the old records' storage be recycled while a crash image
-  /// still holds links to them.
+  /// Lookups of keys[0, n) into out[0, n), shard-grouped and prefetched
+  /// under one EBR guard, then one completion fence for the whole call.
+  void get_core(std::span<const Key> keys,
+                std::optional<std::string>* out) const {
+    const std::size_t n = keys.size();
+    if (n == 0) return;
+    const std::uint64_t lc_inv = check::lc_begin();
+    Scratch& s = scratch();
+    group_by_shard(n, [&](std::size_t i) { return keys[i]; }, s);
+    {
+      recl::Ebr::Guard g;  // spans every lookup + record copy
+      for (std::size_t pos = 0; pos < n; ++pos) {
+        if (pos + 1 < n) {
+          const std::uint32_t j = s.order[pos + 1];
+          shards_[s.sidx[j]].prepare(keys[j]);
+        }
+        const std::uint32_t i = s.order[pos];
+        out[i] = shards_[s.sidx[i]].get_batched(keys[i]);
+      }
+    }
+    Words::operation_completion();
+    if constexpr (check::kLinCheckEnabled) {
+      // Every element shares the call's inv tick (its lookup could have
+      // linearized any time after the call began); resp ticks are per
+      // element, taken now, after all lookups completed.
+      for (std::size_t i = 0; i < n; ++i) {
+        check::lc_end_read(lc_inv, keys[i], out[i].has_value(),
+                           out[i] ? *out[i] : std::string_view{});
+      }
+    }
+  }
+
+  /// Insert-or-overwrite of kvs[0, n); fresh[i] receives element i's
+  /// fresh-insert flag. `Out` is any random-access output (bool* for
+  /// put, a vector<bool> iterator for multi_put). Validates every key
+  /// before anything is applied and widens allocation failures to
+  /// kv::OutOfSpace; apply_puts runs the phase protocol.
+  template <class Out>
+  void put_core(std::span<const std::pair<Key, std::string_view>> kvs,
+                Out fresh) {
+    ensure_writable();
+    const std::size_t n = kvs.size();
+    if (n == 0) return;
+    for (const auto& kv : kvs) {
+      if (Shard_::reserved_key(kv.first)) {
+        throw std::invalid_argument("kv: INT64_MIN/INT64_MAX are reserved");
+      }
+    }
+    const std::uint64_t lc_inv = check::lc_begin();
+    if (!seeded_put_bug(kvs, fresh)) {
+      try {
+        apply_puts(kvs, fresh);
+      } catch (const OutOfSpace&) {
+        throw;
+      } catch (const std::bad_alloc&) {
+        // The cleanup already ran inside apply_puts (records freed,
+        // partial publishes committed durable); only the type is widened.
+        throw OutOfSpace();
+      }
+    }
+    if constexpr (check::kLinCheckEnabled) {
+      // Recorded only on full success: an exception path leaves a prefix
+      // applied but unrecorded, which the checker cannot distinguish from
+      // crashes — acceptable, since the recorder is test-scoped and the
+      // stress drivers never overcommit the pool.
+      for (std::size_t i = 0; i < n; ++i) {
+        check::lc_end_write(lc_inv, check::Op::kPut, kvs[i].first,
+                            kvs[i].second, fresh[i]);
+      }
+    }
+  }
+
+  /// The put phase protocol over validated elements.
+  template <class Out>
+  void apply_puts(std::span<const std::pair<Key, std::string_view>> kvs,
+                  Out fresh) {
+    const std::size_t n = kvs.size();
+    Scratch& s = scratch();
+    group_by_shard(n, [&](std::size_t i) { return kvs[i].first; }, s);
+    // Sized before the first record exists, so a volatile allocation
+    // failure here has nothing to undo — and enlist, which runs after a
+    // publish CAS already succeeded, must not allocate.
+    s.recs.resize(n);
+    s.superseded.clear();
+    s.superseded.reserve(n);
+    s.batch.reserve(n);
+
+    // Phase 1: create + flush every record, then ONE fence. Nothing is
+    // published yet, so any throw here just frees the private records.
+    std::size_t created = 0;
+    try {
+      for (; created < n; ++created) {
+        s.recs[created] =
+            Record::create<Backend_::kPersistent>(kvs[created].second);
+      }
+    } catch (...) {
+      for (std::size_t i = 0; i < created; ++i) free_unpublished(s.recs[i]);
+      throw;
+    }
+    if constexpr (Backend_::kPersistent) pmem::pfence();
+
+    // Phase 2: publish shard by shard with deferred fences, prefetching
+    // the next element's probe entry while the current one is in flight.
+    // Superseded records are collected, NOT retired yet: until the final
+    // fence lands, a crash image can still hold the old link, and retired
+    // storage could be recycled under it.
+    std::size_t done = 0;
+    try {
+      recl::Ebr::Guard g;
+      for (std::size_t pos = 0; pos < n; ++pos) {
+        if (pos + 1 < n) {
+          const std::uint32_t j = s.order[pos + 1];
+          shards_[s.sidx[j]].prepare(kvs[j].first);
+        }
+        const std::uint32_t i = s.order[pos];
+        fresh[i] = shards_[s.sidx[i]].put_batched(kvs[i].first, s.recs[i],
+                                                  s.batch, s.superseded);
+        ++done;
+      }
+    } catch (...) {
+      // Publishes so far must still become durable and untagged; the
+      // failing element's record (and any never-reached ones) were never
+      // published and are freed in place.
+      commit_publishes(s.batch, s.superseded);
+      for (std::size_t pos = done; pos < n; ++pos) {
+        free_unpublished(s.recs[s.order[pos]]);
+      }
+      throw;
+    }
+
+    // Phase 3: one fence covers every publish pwb, then untag/clear and
+    // retire the superseded records.
+    commit_publishes(s.batch, s.superseded);
+  }
+
+  static void free_unpublished(Record* r) noexcept {
+    pmem::Pool::instance().dealloc(r, Record::bytes(r->len));
+  }
+
+  /// Seeded LinCheck bugs on the put path (FLIT_LINCHECK_UNSAFE; always
+  /// false in other builds). Returns true when a bug took the call over,
+  /// with `fresh` filled in as a correct put would have reported it.
+  ///   lost_update — report the flags, never apply the write: a later get
+  ///     misses the update.
+  ///   stale_read  — park the real application until the next put. A get
+  ///     in between observes the superseded value. The parked batch
+  ///     replays through apply_puts, so it runs here, before this call
+  ///     takes the scratch.
+  template <class Out>
+  bool seeded_put_bug(
+      [[maybe_unused]] std::span<const std::pair<Key, std::string_view>> kvs,
+      [[maybe_unused]] Out fresh) {
+    if constexpr (check::kLinCheckEnabled) {
+      const check::UnsafeMode m = check::unsafe_mode();
+      if (m != check::UnsafeMode::kLostUpdate &&
+          m != check::UnsafeMode::kStaleRead) {
+        return false;
+      }
+      if (m == check::UnsafeMode::kStaleRead) check::unsafe_apply_pending();
+      for (std::size_t i = 0; i < kvs.size(); ++i) {
+        fresh[i] = !shard_for(kvs[i].first).contains(kvs[i].first);
+      }
+      if (m == check::UnsafeMode::kStaleRead) {
+        std::vector<std::pair<Key, std::string>> parked(kvs.begin(),
+                                                        kvs.end());
+        check::unsafe_defer([this, parked = std::move(parked)] {
+          const std::vector<std::pair<Key, std::string_view>> view(
+              parked.begin(), parked.end());
+          std::vector<bool> ignored(view.size());
+          apply_puts(view, ignored.begin());
+        });
+      }
+      return true;
+    }
+    return false;
+  }
+
+  /// Removals of keys[0, n), shard-grouped and prefetched; each removal
+  /// is its own durable mark CAS (see multi_remove).
+  template <class Out>
+  void remove_core(std::span<const Key> keys, Out out) {
+    ensure_writable();
+    const std::size_t n = keys.size();
+    if (n == 0) return;
+    const std::uint64_t lc_inv = check::lc_begin();
+    Scratch& s = scratch();
+    group_by_shard(n, [&](std::size_t i) { return keys[i]; }, s);
+    for (std::size_t pos = 0; pos < n; ++pos) {
+      if (pos + 1 < n) {
+        const std::uint32_t j = s.order[pos + 1];
+        shards_[s.sidx[j]].prepare(keys[j]);
+      }
+      const std::uint32_t i = s.order[pos];
+      out[i] = shards_[s.sidx[i]].remove(keys[i]);
+    }
+    if constexpr (check::kLinCheckEnabled) {
+      for (std::size_t i = 0; i < n; ++i) {
+        check::lc_end_write(lc_inv, check::Op::kRemove, keys[i], {},
+                            out[i]);
+      }
+    }
+  }
+
+  /// The put protocol's closing sequence: one pfence covering every
+  /// deferred publish pwb, THEN untag/clear the published words
+  /// (Condition 3), and only then retire the superseded records —
+  /// retiring before the fence could let the old records' storage be
+  /// recycled while a crash image still holds links to them.
   static void commit_publishes(ds::PublishBatch& batch,
                                std::vector<Record*>& superseded) {
     if constexpr (Backend_::kPersistent) pmem::pfence();

@@ -10,13 +10,13 @@
 // Per readiness event a worker drains the socket into the connection's
 // incremental RequestParser, then executes *every* fully parsed request
 // before writing anything back. This is where the network layer becomes
-// the batch former for the PR 5 multi-op path: consecutive runs of the
+// the batch former for the store's multi-ops: consecutive runs of the
 // same command inside one pipelined burst are grouped into a single
-// multi_get / multi_put / multi_remove (singleton runs fall back to the
-// scalar ops), so a client pipelining k SETs pays the coalesced-fence
-// batched-put bill (two pfences per run) instead of k scalar commits.
+// multi_get / multi_put / multi_remove (a singleton run is a batch of
+// one — the store has no separate scalar path), so a client pipelining k
+// SETs pays two pfences for the run instead of two per SET.
 // Grouping only ever merges *adjacent* same-command requests, so the
-// per-connection sequential semantics are byte-identical to scalar
+// per-connection sequential semantics are byte-identical to one-at-a-time
 // execution — a GET pipelined after a SET of the same key always sees
 // the SET (replies stay in request order, runs never reorder across a
 // different command).
@@ -111,8 +111,8 @@ struct ServerConfig {
 struct ServerStats {
   std::atomic<std::uint64_t> connections{0};  ///< accepted, lifetime
   std::atomic<std::uint64_t> requests{0};     ///< commands executed
-  std::atomic<std::uint64_t> batched_keys{0};  ///< keys via multi-ops
-  std::atomic<std::uint64_t> scalar_ops{0};    ///< keys via scalar ops
+  std::atomic<std::uint64_t> batched_keys{0};  ///< keys via longer runs
+  std::atomic<std::uint64_t> scalar_ops{0};    ///< keys via runs of one
   std::atomic<std::uint64_t> protocol_errors{0};
   // Overload/degradation telemetry (see ISSUE: robustness runs must be
   // diffable like perf runs — these feed the STATS reply's shed_conns=,
@@ -608,8 +608,8 @@ class Server {
   }
 
   /// Execute every request of one readiness event: adjacent same-command
-  /// runs of GET/SET/DEL collapse into one multi-op (length 1 runs stay
-  /// scalar), everything else executes one by one. Replies are appended
+  /// runs of GET/SET/DEL collapse into one multi-op (a length 1 run is a
+  /// batch of one), everything else executes one by one. Replies are appended
   /// in request order. The durability hook runs once, after all of the
   /// event's writes and before the caller flushes replies.
   void execute_batch(Conn& c, std::vector<Request>& reqs,
@@ -667,31 +667,9 @@ class Server {
     if constexpr (kHasDurabilityHook) store_.note_write_commit();
   }
 
-  /// A run of GETs: one multi_get (scalar get for a singleton). Requests
-  /// that fail validation get their error reply in place; the valid rest
-  /// still batch.
+  /// A run of GETs: one multi_get. Requests that fail validation get
+  /// their error reply in place; the valid rest still batch.
   void run_gets(Conn& c, std::span<Request> run) {
-    if (run.size() == 1) {
-      std::string err;
-      const Request& r = run[0];
-      if (r.argv.size() != 2) {
-        append_error(c.out, "ERR GET expects: GET key");
-        return;
-      }
-      const auto k = parse_key(r.argv[1], err);
-      if (!k) {
-        append_error(c.out, err);
-        return;
-      }
-      stats_.scalar_ops.fetch_add(1, std::memory_order_relaxed);
-      const auto v = store_.get(*k);
-      if (v) {
-        append_bulk(c.out, *v);
-      } else {
-        append_null(c.out);
-      }
-      return;
-    }
     std::vector<std::int64_t> keys;
     std::vector<std::string> errs(run.size());
     std::vector<std::size_t> slot(run.size(), SIZE_MAX);
@@ -706,7 +684,7 @@ class Server {
       slot[i] = keys.size();
       keys.push_back(*k);
     }
-    stats_.batched_keys.fetch_add(keys.size(), std::memory_order_relaxed);
+    count_run_keys(run.size(), keys.size());
     const auto vals = store_.multi_get(keys);
     for (std::size_t i = 0; i < run.size(); ++i) {
       if (slot[i] == SIZE_MAX) {
@@ -721,31 +699,10 @@ class Server {
 
   /// A run of SETs: one multi_put. Validation (arity, key syntax,
   /// reserved keys, value size) happens before anything is applied, so a
-  /// bad element costs only its own error reply.
+  /// bad element costs only its own error reply. A run with no valid
+  /// element never reaches the store: there is nothing to apply, and
+  /// marking the event as a write would make kAlways msync for nothing.
   void run_sets(Conn& c, std::span<Request> run, bool& wrote) {
-    if (run.size() == 1) {
-      const Request& r = run[0];
-      std::string err;
-      if (r.argv.size() != 3) {
-        append_error(c.out, "ERR SET expects: SET key value");
-        return;
-      }
-      const auto k = parse_key(r.argv[1], err);
-      if (!k) {
-        append_error(c.out, err);
-        return;
-      }
-      if (r.argv[2].size() > cfg_.max_value_bytes) {
-        append_error(c.out, "ERR value too large");
-        return;
-      }
-      stats_.scalar_ops.fetch_add(1, std::memory_order_relaxed);
-      if (!apply_store(c, [&] { store_.put(*k, r.argv[2]); }, &wrote)) {
-        return;
-      }
-      append_simple(c.out, "OK");
-      return;
-    }
     std::vector<std::pair<std::int64_t, std::string_view>> kvs;
     std::vector<std::string> errs(run.size());
     std::vector<bool> valid(run.size(), false);
@@ -765,9 +722,10 @@ class Server {
       valid[i] = true;
       kvs.emplace_back(*k, std::string_view(r.argv[2]));
     }
-    stats_.batched_keys.fetch_add(kvs.size(), std::memory_order_relaxed);
+    count_run_keys(run.size(), kvs.size());
     std::string batch_err;
     const bool applied =
+        kvs.empty() ||
         apply_store_err(batch_err, [&] { store_.multi_put(kvs); }, &wrote);
     for (std::size_t i = 0; i < run.size(); ++i) {
       if (!valid[i]) {
@@ -780,28 +738,9 @@ class Server {
     }
   }
 
-  /// A run of DELs: one multi_remove.
+  /// A run of DELs: one multi_remove (skipped, like an all-invalid SET
+  /// run, when no element is valid).
   void run_dels(Conn& c, std::span<Request> run, bool& wrote) {
-    if (run.size() == 1) {
-      const Request& r = run[0];
-      std::string err;
-      if (r.argv.size() != 2) {
-        append_error(c.out, "ERR DEL expects: DEL key");
-        return;
-      }
-      const auto k = parse_key(r.argv[1], err);
-      if (!k) {
-        append_error(c.out, err);
-        return;
-      }
-      stats_.scalar_ops.fetch_add(1, std::memory_order_relaxed);
-      bool removed = false;
-      if (!apply_store(c, [&] { removed = store_.remove(*k); }, &wrote)) {
-        return;
-      }
-      append_integer(c.out, removed ? 1 : 0);
-      return;
-    }
     std::vector<std::int64_t> keys;
     std::vector<std::string> errs(run.size());
     std::vector<std::size_t> slot(run.size(), SIZE_MAX);
@@ -816,11 +755,13 @@ class Server {
       slot[i] = keys.size();
       keys.push_back(*k);
     }
-    stats_.batched_keys.fetch_add(keys.size(), std::memory_order_relaxed);
+    count_run_keys(run.size(), keys.size());
     std::vector<bool> removed;
     std::string batch_err;
-    const bool applied = apply_store_err(
-        batch_err, [&] { removed = store_.multi_remove(keys); }, &wrote);
+    const bool applied =
+        keys.empty() ||
+        apply_store_err(
+            batch_err, [&] { removed = store_.multi_remove(keys); }, &wrote);
     for (std::size_t i = 0; i < run.size(); ++i) {
       if (slot[i] == SIZE_MAX) {
         append_error(c.out, errs[i]);
@@ -830,6 +771,14 @@ class Server {
         append_error(c.out, batch_err);
       }
     }
+  }
+
+  /// STATS splits served keys by run length: a run of one request is
+  /// request-per-round-trip traffic (scalar_ops), a longer run is
+  /// pipelined traffic (batched_keys). Both take the same store path.
+  void count_run_keys(std::size_t run_len, std::size_t keys) {
+    (run_len == 1 ? stats_.scalar_ops : stats_.batched_keys)
+        .fetch_add(keys, std::memory_order_relaxed);
   }
 
   void execute_single(Conn& c, const Request& r, Cmd cmd, bool& wrote,

@@ -6,18 +6,23 @@
 
 #include <atomic>
 #include <cstring>
+#include <map>
 #include <random>
 #include <string>
 #include <thread>
 #include <unordered_map>
 #include <vector>
 
+#include "pmem/stats.hpp"
+#include "support/shard_ops.hpp"
 #include "support/test_common.hpp"
 
 namespace flit::kv {
 namespace {
 
 using flit::test::PmemTest;
+using flit::test::shard_get;
+using flit::test::shard_put;
 using KvStore = Store<HashedWords, Automatic>;
 
 class KvStoreTest : public PmemTest {};
@@ -160,14 +165,14 @@ TEST_F(KvStoreTest, ShardMoveResetsTheSourceCounter) {
   // the moved-from shard's counter populated — a husk summed by anything
   // still holding it would double-count every key.
   Shard<HashBackend<HashedWords, Automatic>> a(16);
-  ASSERT_TRUE(a.put(1, "one"));
-  ASSERT_TRUE(a.put(2, "two"));
+  ASSERT_TRUE(shard_put(a, 1, "one"));
+  ASSERT_TRUE(shard_put(a, 2, "two"));
   ASSERT_EQ(a.size(), 2u);
   Shard<HashBackend<HashedWords, Automatic>> b(std::move(a));
   EXPECT_EQ(b.size(), 2u);
   EXPECT_EQ(a.size(), 0u) << "moved-from counter must be zeroed";
-  EXPECT_EQ(b.get(1), "one");
-  EXPECT_EQ(b.get(2), "two");
+  EXPECT_EQ(shard_get(b, 1), "one");
+  EXPECT_EQ(shard_get(b, 2), "two");
 }
 
 TEST_F(KvStoreTest, OverwriteChurnNeverHidesAKey) {
@@ -249,10 +254,24 @@ TEST_F(KvStoreTest, SizeIsExactUnderPureOverwriteChurn) {
 
 // --- batched multi-op path ---------------------------------------------------
 
-TEST_F(KvStoreTest, MultiGetMatchesScalarLoop) {
+// put/get/remove are the multi-op cores on one-element spans, so the
+// batched path cannot be checked against scalar calls — that would
+// compare the path with itself. The reference is an independent std::map
+// model instead, as in kv_recovery_test's oracles.
+
+std::optional<std::string> model_get(
+    const std::map<std::int64_t, std::string>& model, std::int64_t k) {
+  const auto it = model.find(k);
+  if (it == model.end()) return std::nullopt;
+  return it->second;
+}
+
+TEST_F(KvStoreTest, MultiGetMatchesMapModel) {
   KvStore kv(4, 64);
+  std::map<std::int64_t, std::string> model;
   for (std::int64_t k = 0; k < 100; k += 2) {
     kv.put(k, churn_value(k, 7));  // even keys present, odd keys absent
+    model[k] = churn_value(k, 7);
   }
   // Mixed hits/misses plus duplicate keys in one batch.
   std::vector<std::int64_t> keys;
@@ -262,36 +281,39 @@ TEST_F(KvStoreTest, MultiGetMatchesScalarLoop) {
   const auto got = kv.multi_get(keys);
   ASSERT_EQ(got.size(), keys.size());
   for (std::size_t i = 0; i < keys.size(); ++i) {
-    EXPECT_EQ(got[i], kv.get(keys[i])) << "key " << keys[i];
+    EXPECT_EQ(got[i], model_get(model, keys[i])) << "key " << keys[i];
   }
 }
 
-TEST_F(KvStoreTest, MultiPutMatchesScalarSemantics) {
-  // The batched path must be observationally identical to a scalar loop:
-  // same fresh-insert flags, same final contents.
-  KvStore batched(4, 64);
-  KvStore scalar(4, 64);
-  std::vector<std::pair<std::int64_t, std::string>> store;
-  for (std::int64_t k = 0; k < 64; ++k) {
-    store.emplace_back(k, churn_value(k, 1));
-  }
+TEST_F(KvStoreTest, MultiPutMatchesMapModel) {
+  // Same fresh-insert flags and same final contents as the model applying
+  // the batch in order, duplicates included (last wins).
+  KvStore kv(4, 64);
+  std::map<std::int64_t, std::string> model;
   for (std::int64_t k = 0; k < 32; ++k) {
-    batched.put(k, churn_value(k, 0));  // first half becomes overwrites
-    scalar.put(k, churn_value(k, 0));
+    kv.put(k, churn_value(k, 0));  // the first half becomes overwrites
+    model[k] = churn_value(k, 0);
   }
-  std::vector<std::pair<std::int64_t, std::string_view>> kvs;
-  for (const auto& [k, v] : store) kvs.emplace_back(k, v);
-
-  const auto fresh = batched.multi_put(kvs);
-  ASSERT_EQ(fresh.size(), kvs.size());
-  for (std::size_t i = 0; i < kvs.size(); ++i) {
-    const bool scalar_fresh = scalar.put(kvs[i].first, kvs[i].second);
-    EXPECT_EQ(static_cast<bool>(fresh[i]), scalar_fresh) << "key "
-                                                         << kvs[i].first;
-  }
-  EXPECT_EQ(batched.size(), scalar.size());
+  std::vector<std::pair<std::int64_t, std::string>> batch;
   for (std::int64_t k = 0; k < 64; ++k) {
-    EXPECT_EQ(batched.get(k), scalar.get(k)) << "key " << k;
+    batch.emplace_back(k, churn_value(k, 1));
+  }
+  batch.emplace_back(5, churn_value(5, 2));    // duplicate of an overwrite
+  batch.emplace_back(40, churn_value(40, 3));  // duplicate of an insert
+  std::vector<std::pair<std::int64_t, std::string_view>> kvs;
+  for (const auto& [k, v] : batch) kvs.emplace_back(k, v);
+
+  const auto fresh = kv.multi_put(kvs);
+  ASSERT_EQ(fresh.size(), kvs.size());
+  for (std::size_t i = 0; i < batch.size(); ++i) {
+    const bool model_fresh =
+        model.insert_or_assign(batch[i].first, batch[i].second).second;
+    EXPECT_EQ(static_cast<bool>(fresh[i]), model_fresh)
+        << "element " << i << " key " << batch[i].first;
+  }
+  EXPECT_EQ(kv.size(), model.size());
+  for (std::int64_t k = 0; k < 80; ++k) {
+    EXPECT_EQ(kv.get(k), model_get(model, k)) << "key " << k;
   }
 }
 
@@ -347,6 +369,41 @@ TEST_F(KvStoreTest, MultiOpsHandleEmptyAndSingletonBatches) {
   EXPECT_EQ(kv.size(), 0u);
 }
 
+TEST_F(KvStoreTest, OneElementCallsPayTheBatchFenceBill) {
+  // The persistence cost of the one operation path, single-threaded: a
+  // put costs exactly what multi_put of one element costs — one fence
+  // making the record durable before its link, one covering the link
+  // before the call returns — and a get costs one completion fence.
+  KvStore kv(4, 64);
+  const auto pfences = [](const auto& op) {
+    const pmem::StatsSnapshot before = pmem::stats_snapshot();
+    op();
+    return (pmem::stats_snapshot() - before).pfences;
+  };
+  const std::vector<std::pair<std::int64_t, std::string_view>> one = {
+      {2, "b"}};
+
+  // Overwrites: the record fence and the covering publish fence.
+  kv.put(1, "a");
+  kv.multi_put(one);
+  const std::uint64_t overwrite = pfences([&] { kv.put(1, "a2"); });
+  EXPECT_EQ(overwrite, 2u);
+  EXPECT_EQ(pfences([&] { kv.multi_put(one); }), overwrite);
+
+  // Fresh inserts add the new node's own persist fence: its bytes must
+  // be durable before the link can be observed.
+  const std::uint64_t fresh = pfences([&] { kv.put(3, "c"); });
+  EXPECT_EQ(fresh, 3u);
+  const std::vector<std::pair<std::int64_t, std::string_view>> fresh_one = {
+      {4, "d"}};
+  EXPECT_EQ(pfences([&] { kv.multi_put(fresh_one); }), fresh);
+
+  EXPECT_EQ(pfences([&] { (void)kv.get(1); }), 1u);
+  EXPECT_EQ(pfences([&] { (void)kv.get(99); }), 1u);  // a miss too
+  const std::vector<std::int64_t> key = {1};
+  EXPECT_EQ(pfences([&] { (void)kv.multi_get(key); }), 1u);
+}
+
 TEST_F(KvStoreTest, MultiPutReservedKeyThrowsBeforeAnySideEffect) {
   // Validation is all-or-nothing: a reserved sentinel anywhere in the
   // batch must reject the whole batch before any element is applied.
@@ -365,8 +422,8 @@ TEST_F(KvStoreTest, MultiPutReservedKeyThrowsBeforeAnySideEffect) {
 TEST_F(KvStoreTest, MultiGetUnderConcurrentUpsertsNeverMissesACommittedKey) {
   // The batched churn analogue of OverwriteChurnNeverHidesAKey, and the
   // TSan target for the multi-op path (this suite carries the kv label):
-  // while writers overwrite a fixed committed key set through both the
-  // scalar and the batched put paths, a multi_get batch must never
+  // while writers overwrite a fixed committed key set with one-key puts
+  // and 8-key multi_puts, a multi_get batch must never
   // observe absence or a torn value — the deferred-fence publish is a
   // plain atomic CAS to readers.
   KvStore kv(4, 64);
@@ -384,7 +441,7 @@ TEST_F(KvStoreTest, MultiGetUnderConcurrentUpsertsNeverMissesACommittedKey) {
       std::vector<std::pair<std::int64_t, std::string>> vals;
       std::vector<std::pair<std::int64_t, std::string_view>> kvs;
       while (!stop.load(std::memory_order_relaxed)) {
-        if (t == 0) {  // scalar overwrites
+        if (t == 0) {  // one-key overwrites
           const auto k = static_cast<std::int64_t>(rng() % kKeys);
           kv.put(k, churn_value(k, salt++));
         } else {  // batched overwrites

@@ -269,6 +269,38 @@ TEST_F(NetServerTest, StatsAndDurabilityCounters) {
   EXPECT_NE(r.str.find("keys=1"), std::string::npos);
 }
 
+TEST_F(NetServerTest, AllInvalidWriteRunsDoNotCheckpoint) {
+  // A SET or DEL run whose every element fails validation applies
+  // nothing, so under kAlways it must not checkpoint: that msync would
+  // make nothing durable. Covers multi-request runs and a run of one.
+  const std::string path =
+      "/tmp/flit_net_server_invalid_" + std::to_string(::getpid()) + ".pmem";
+  pmem::FileRegion::destroy(path);
+  {
+    HashedKv store = HashedKv::open(path, 4 << 20, 2, 64);
+    store.set_durability_mode(kv::DurabilityMode::kAlways);
+    Harness<HashedKv> h(std::move(store));
+    Client c = h.connect();
+    ASSERT_TRUE(c.command({"SET", "1", "v"}).ok());
+    const std::uint64_t before = h.store.checkpoints();
+    ASSERT_GT(before, 0u) << "a valid SET under kAlways checkpoints";
+
+    c.enqueue({"SET", "bogus", "v"});
+    c.enqueue({"SET", "9223372036854775807", "v"});  // reserved key
+    c.enqueue({"SET", "2"});                         // arity
+    c.flush();
+    for (int i = 0; i < 3; ++i) EXPECT_TRUE(c.read_reply().is_error()) << i;
+    c.enqueue({"DEL", "bogus"});
+    c.enqueue({"DEL"});
+    c.flush();
+    for (int i = 0; i < 2; ++i) EXPECT_TRUE(c.read_reply().is_error()) << i;
+    EXPECT_TRUE(c.command({"SET", "bogus", "v"}).is_error());
+    EXPECT_EQ(h.store.checkpoints(), before);
+    EXPECT_EQ(c.command({"GET", "1"}).str, "v");
+  }
+  pmem::FileRegion::destroy(path);
+}
+
 TEST_F(NetServerTest, ShutdownCommandStopsTheServer) {
   auto h = std::make_unique<Harness<HashedKv>>(hashed());
   Client c = h->connect();

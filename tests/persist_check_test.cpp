@@ -22,12 +22,14 @@
 #include "pmem/backend.hpp"
 #include "pmem/pool.hpp"
 #include "pmem/stats.hpp"
+#include "support/shard_ops.hpp"
 #include "support/test_common.hpp"
 
 namespace flit::pmem {
 namespace {
 
 using flit::test::PmemTest;
+using flit::test::shard_put;
 using kv::HashBackend;
 using kv::Record;
 using kv::Shard;
@@ -111,21 +113,21 @@ TEST_F(PersistCheckTest, SuppressedPwbFiresPublishUnpersisted) {
   if (!kPersistCheckEnabled) GTEST_SKIP() << "FLIT_PERSIST_CHECK is off";
   BackendScope scope(Backend::kSimCrash);
   arm();
-  HashedShard shard(64);
+  kv::Store<HashedWords, Automatic> store(1, 64);
   ASSERT_EQ(PersistCheck::instance().total_violations(), 0u);
 
   // Seeded bug: the next pwb — the flush of the new record's line inside
   // Record::create — never happens. The record is published while Dirty.
   PersistCheck::instance().suppress_pwbs(1);
-  shard.put(1, "hello");
+  store.put(1, "hello");
 
   EXPECT_EQ(count(PersistViolation::kPublishUnpersisted), 1u);
   EXPECT_EQ(PersistCheck::instance().total_violations(), 1u);
   EXPECT_STREQ(PersistCheck::instance().first_violation_site(),
-               "kv::Shard::put");
+               "kv::Shard::put_batched");
   // Exactly one diagnostic: the range was force-cleaned after the report,
   // so the store keeps working and later checks don't cascade.
-  EXPECT_EQ(shard.get(1), "hello");
+  EXPECT_EQ(store.get(1), "hello");
   PersistCheck::instance().reset_violations();
 }
 
@@ -152,14 +154,14 @@ TEST_F(PersistCheckTest, RetireBeforeBatchFenceFiresPrematureRetire) {
   BackendScope scope(Backend::kSimCrash);
   arm();
   HashedShard shard(64);
-  shard.put(1, "old");
+  shard_put(shard, 1, "old");
   ASSERT_EQ(PersistCheck::instance().total_violations(), 0u);
 
   // Deferred-fence overwrite, exactly as Store::multi_put drives it...
   ds::PublishBatch batch;
   batch.reserve(1);
   std::vector<Record*> superseded;
-  Record* rec = Record::create<true, false>("new");
+  Record* rec = Record::create<true>("new");
   pfence();  // the batch's record fence (phase 1)
   shard.put_batched(1, rec, batch, superseded);
   ASSERT_EQ(superseded.size(), 1u);
@@ -187,13 +189,13 @@ TEST_F(PersistCheckTest, CompleteWithoutFenceFiresDeferredDangling) {
   BackendScope scope(Backend::kSimCrash);
   arm();
   HashedShard shard(64);
-  shard.put(1, "old");
+  shard_put(shard, 1, "old");
   ASSERT_EQ(PersistCheck::instance().total_violations(), 0u);
 
   ds::PublishBatch batch;
   batch.reserve(1);
   std::vector<Record*> superseded;
-  Record* rec = Record::create<true, false>("new");
+  Record* rec = Record::create<true>("new");
   pfence();
   shard.put_batched(1, rec, batch, superseded);
   ASSERT_EQ(superseded.size(), 1u);
