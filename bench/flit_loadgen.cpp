@@ -36,9 +36,12 @@
 //        truncated frame and hang up — then reconnect and resume. The
 //        server must shrug every one of these off: verification still
 //        runs on well-behaved rounds and any miss/mismatch, or a failure
-//        to reconnect, fails the process. SET payloads are a pure
-//        function of the key, so a torn burst's half-applied writes are
-//        indistinguishable from applied ones.)
+//        to reconnect, fails the process. A connection the server closes
+//        before any reply of a burst arrives (an --idle-timeout-ms reap)
+//        is reconnected once and counted in the JSON row's "reaped"; a
+//        close after some replies were read is an error. SET payloads
+//        are a pure function of the key, so a torn burst's half-applied
+//        writes are indistinguishable from applied ones.)
 //
 // Emits CSV rows (CsvWriter) and BENCH_flit_loadgen.json; columns are
 // understood by scripts/bench_diff.py (which tolerates their absence in
@@ -199,6 +202,9 @@ struct ConnResult {
   std::uint64_t errors = 0;
   std::uint64_t scan_entries = 0;
   std::uint64_t chaos_events = 0;  ///< rounds sacrificed to --chaos
+  /// --chaos rounds whose connection the server closed before any reply
+  /// arrived (reaped as idle); each cost one reconnect, not a failure.
+  std::uint64_t reaped = 0;
   LatencyHistogram hist;  ///< per-request sojourn, nanoseconds
 };
 
@@ -211,6 +217,18 @@ ConnResult run_conn(const Options& o, const YcsbMix& mix, int tid,
   ConnResult res;
   const auto port = static_cast<std::uint16_t>(o.port);
   std::optional<net::Client> c(net::Client::connect(o.host, port));
+  // Replace the connection. A failure to reconnect is an error: neither
+  // a chaos round nor an idle reap may cost us the server.
+  const auto reconnect = [&] {
+    c.reset();
+    try {
+      c.emplace(net::Client::connect(o.host, port));
+      return true;
+    } catch (const std::exception&) {
+      ++res.errors;
+      return false;
+    }
+  };
   Rng rng(o.seed + 0x9000ull * static_cast<std::uint64_t>(tid + 1));
 
   struct PendingRead {
@@ -294,58 +312,70 @@ ConnResult run_conn(const Options& o, const YcsbMix& mix, int tid,
           break;
         }
       }
-      c.reset();
-      try {
-        c.emplace(net::Client::connect(o.host, port));
-      } catch (const std::exception&) {
-        ++res.errors;  // a chaos round must not cost us the server
-        return res;
-      }
+      if (!reconnect()) return res;
       continue;
     }
 
     const auto t0 = Clock::now();
-    c->flush();
-    for (const PendingRead& r : reads) {
-      const net::Reply rep = c->read_reply();
-      if (rep.is_error()) {
-        ++res.errors;
-        continue;
-      }
-      if (r.is_scan) {
-        if (rep.type != net::Reply::Type::kArray ||
-            rep.elems.size() % 2 != 0) {
+    std::size_t replies = 0;
+    try {
+      c->flush();
+      for (const PendingRead& r : reads) {
+        const net::Reply rep = c->read_reply();
+        ++replies;
+        if (rep.is_error()) {
           ++res.errors;
           continue;
         }
-        if (rep.elems.empty()) {
-          ++res.misses;  // prefilled keyspace, start key in range
-          continue;
-        }
-        std::int64_t prev = std::numeric_limits<std::int64_t>::min();
-        for (std::size_t j = 0; j + 1 < rep.elems.size(); j += 2) {
-          const char* ks = rep.elems[j].str.c_str();
-          const std::int64_t sk = std::strtoll(ks, nullptr, 10);
-          if (sk < r.key || sk <= prev ||
-              !ycsb_value_matches(sk, rep.elems[j + 1].str,
-                                  o.value_bytes)) {
+        if (r.is_scan) {
+          if (rep.type != net::Reply::Type::kArray ||
+              rep.elems.size() % 2 != 0) {
+            ++res.errors;
+            continue;
+          }
+          if (rep.elems.empty()) {
+            ++res.misses;  // prefilled keyspace, start key in range
+            continue;
+          }
+          std::int64_t prev = std::numeric_limits<std::int64_t>::min();
+          for (std::size_t j = 0; j + 1 < rep.elems.size(); j += 2) {
+            const char* ks = rep.elems[j].str.c_str();
+            const std::int64_t sk = std::strtoll(ks, nullptr, 10);
+            if (sk < r.key || sk <= prev ||
+                !ycsb_value_matches(sk, rep.elems[j + 1].str,
+                                    o.value_bytes)) {
+              ++res.mismatches;
+            }
+            prev = sk;
+            ++res.scan_entries;
+          }
+        } else {
+          if (rep.is_null()) {
+            ++res.misses;  // A/B/C never remove: a miss is a lost record
+          } else if (rep.type != net::Reply::Type::kBulk ||
+                     !ycsb_value_matches(r.key, rep.str, o.value_bytes)) {
             ++res.mismatches;
           }
-          prev = sk;
-          ++res.scan_entries;
-        }
-      } else {
-        if (rep.is_null()) {
-          ++res.misses;  // A/B/C never remove: a miss is a lost record
-        } else if (rep.type != net::Reply::Type::kBulk ||
-                   !ycsb_value_matches(r.key, rep.str, o.value_bytes)) {
-          ++res.mismatches;
         }
       }
-    }
-    for (std::size_t j = 0; j < writes.size(); ++j) {
-      const net::Reply rep = c->read_reply();
-      if (!rep.ok()) ++res.errors;
+      for (std::size_t j = 0; j < writes.size(); ++j) {
+        const net::Reply rep = c->read_reply();
+        ++replies;
+        if (!rep.ok()) ++res.errors;
+      }
+    } catch (const net::ConnectionClosed&) {
+      // Under --chaos the connection may sit idle long enough (a fresh
+      // reconnect, then a descheduled client) for a server running
+      // --idle-timeout-ms to reap it. A close before any reply of the
+      // burst is that reap: reconnect once and skip the round. A close
+      // mid-burst, or outside --chaos, is a failure.
+      if (!o.chaos || replies > 0) {
+        ++res.errors;
+        return res;
+      }
+      ++res.reaped;
+      if (!reconnect()) return res;
+      continue;
     }
     const auto dt = static_cast<std::uint64_t>(
         std::chrono::duration_cast<std::chrono::nanoseconds>(Clock::now() -
@@ -364,7 +394,7 @@ struct PointRow {
   int conns;
   std::size_t pipeline;
   double mops, p50_us, p99_us, p999_us, pfences_per_op, pwbs_per_op;
-  std::uint64_t misses, mismatches, errors, chaos_events;
+  std::uint64_t misses, mismatches, errors, chaos_events, reaped;
 };
 
 PointRow run_point(const Options& o, int conns, std::size_t pipeline,
@@ -412,6 +442,7 @@ PointRow run_point(const Options& o, int conns, std::size_t pipeline,
     tot.errors += r.errors;
     tot.scan_entries += r.scan_entries;
     tot.chaos_events += r.chaos_events;
+    tot.reaped += r.reaped;
     tot.hist.merge(r.hist);
   }
   const std::uint64_t pfences =
@@ -441,6 +472,7 @@ PointRow run_point(const Options& o, int conns, std::size_t pipeline,
   row.mismatches = tot.mismatches;
   row.errors = tot.errors;
   row.chaos_events = tot.chaos_events;
+  row.reaped = tot.reaped;
 
   const std::string conns_s = Table::fmt_u(static_cast<std::uint64_t>(conns));
   const std::string pipe_s = Table::fmt_u(pipeline);
@@ -480,13 +512,14 @@ void write_json(const char* path, const std::vector<PointRow>& rows,
         "\"p50_us\": %.2f, \"p99_us\": %.2f, \"p999_us\": %.2f, "
         "\"pfences_per_op\": %.4f, \"pwbs_per_op\": %.4f, "
         "\"misses\": %llu, \"mismatches\": %llu, \"errors\": %llu, "
-        "\"chaos_events\": %llu}%s\n",
+        "\"chaos_events\": %llu, \"reaped\": %llu}%s\n",
         r.layout.c_str(), r.mix.c_str(), r.pipeline, r.conns, r.mops,
         r.p50_us, r.p99_us, r.p999_us, r.pfences_per_op, r.pwbs_per_op,
         static_cast<unsigned long long>(r.misses),
         static_cast<unsigned long long>(r.mismatches),
         static_cast<unsigned long long>(r.errors),
         static_cast<unsigned long long>(r.chaos_events),
+        static_cast<unsigned long long>(r.reaped),
         i + 1 < rows.size() ? "," : "");
   }
   std::fprintf(f, "  ]\n}\n");
@@ -533,11 +566,13 @@ int main(int argc, char** argv) {
         "write mixes — the coalesced-fence path driven by real traffic.\n");
 
     std::uint64_t misses = 0, mismatches = 0, errors = 0, chaos = 0;
+    std::uint64_t reaped = 0;
     for (const PointRow& r : rows) {
       misses += r.misses;
       mismatches += r.mismatches;
       errors += r.errors;
       chaos += r.chaos_events;
+      reaped += r.reaped;
     }
     const bool ok = misses == 0 && mismatches == 0 && errors == 0;
     write_json("BENCH_flit_loadgen.json", rows, o, ok);
@@ -561,8 +596,11 @@ int main(int argc, char** argv) {
       return 1;
     }
     if (o.chaos) {
-      std::printf("flit_loadgen: OK (%llu chaos rounds survived)\n",
-                  static_cast<unsigned long long>(chaos));
+      std::printf(
+          "flit_loadgen: OK (%llu chaos rounds survived, %llu idle "
+          "reaps reconnected)\n",
+          static_cast<unsigned long long>(chaos),
+          static_cast<unsigned long long>(reaped));
     } else {
       std::printf("flit_loadgen: OK\n");
     }

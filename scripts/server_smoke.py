@@ -25,7 +25,9 @@ flit_loadgen, asserting the acceptance criteria of the network subsystem:
      reaped by --idle-timeout-ms, both visible in STATS
      (shed_conns/idle_timeouts), and a --chaos loadgen round (abandoned
      bursts, half-closes, torn frames) finishes with zero verification
-     failures against the same server.
+     failures against the same server. A chaos connection the server
+     reaped as idle is reconnected by the loadgen and must be covered by
+     the STATS idle_timeouts delta.
   6. (--failpoints builds only) Fault injection over the wire: with the
      server booted under --failpoints=pool.alloc=prob:0.5, SETs fail
      per-request with -ERR while GETs of successfully stored keys still
@@ -54,12 +56,18 @@ LISTEN_RE = re.compile(r"flit-server: listening on ([0-9.]+):(\d+)")
 COALESCE_RATIO = 0.6
 
 
+# Every server this run started; main() kills the survivors on any exit,
+# so a failed round never leaves a server running.
+STARTED = []
+
+
 def start_server(args, extra, env=None):
     cmd = [args.server, "--port=0"] + extra
     child_env = dict(os.environ, **env) if env else None
     proc = subprocess.Popen(cmd, stdout=subprocess.PIPE,
                             stderr=subprocess.STDOUT, text=True,
                             env=child_env)
+    STARTED.append(proc)
     deadline = time.time() + 30
     while time.time() < deadline:
         line = proc.stdout.readline()
@@ -160,7 +168,16 @@ def main():
                     help="server was built with FLIT_FAILPOINTS=ON: also "
                          "run the fault-injection round")
     args = ap.parse_args()
+    try:
+        return run_rounds(args)
+    finally:
+        for proc in STARTED:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait()
 
+
+def run_rounds(args):
     # --- round 1: hashed layout, scalar vs pipelined fence coalescing ----
     proc, host, port = start_server(args, ["--layout=hashed",
                                            "--workers=2", "--keys=4000"])
@@ -270,9 +287,15 @@ def main():
         raise SystemExit("server_smoke: shed connection not counted")
     if fields.get("idle_timeouts", 0) < 1:
         raise SystemExit("server_smoke: idle connections were never reaped")
+    # Under load a chaos connection can sit idle past the 200ms timeout and
+    # be reaped; the loadgen reconnects and reports it as "reaped". Every
+    # such close must be one the server counted as an idle timeout.
     chaos = run_loadgen(args, host, port,
                         ["--mix=A", "--keys=4000", "--conns=2",
-                         "--pipeline=8", "--chaos", "--shutdown"])[0]
+                         "--pipeline=8", "--chaos"])[0]
+    reaps = (inline_stats(host, port)["idle_timeouts"] -
+             fields["idle_timeouts"])
+    inline_shutdown(host, port)
     wait_exit(proc, "overload server")
     bad = chaos["misses"] + chaos["mismatches"] + chaos["errors"]
     if bad:
@@ -280,7 +303,11 @@ def main():
                          f"failures")
     if chaos.get("chaos_events", 0) < 1:
         raise SystemExit("server_smoke: --chaos never fired")
-    print(f"server_smoke: chaos_events={chaos['chaos_events']} survived")
+    print(f"server_smoke: chaos_events={chaos['chaos_events']} survived, "
+          f"reaped={chaos['reaped']} (idle_timeouts delta {reaps})")
+    if chaos["reaped"] > reaps:
+        raise SystemExit("server_smoke: the server closed chaos connections "
+                         "it did not count as idle timeouts")
 
     # --- round 5: per-request fault injection (failpoint builds only) ----
     if args.failpoints:

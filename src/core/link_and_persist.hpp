@@ -55,7 +55,7 @@ class lap_word {
   /// `expected`/`desired` are logical (flag-free) values; on failure
   /// `expected` receives the observed logical value.
   bool cas(T& expected, T desired, bool pflag = default_pflag) noexcept {
-    pmem::pfence();  // Condition 4
+    pmem::pfence_if_pending();  // Condition 4
     const std::uintptr_t exp = bits(expected);
     const std::uintptr_t des_clean = bits(desired);
     for (;;) {
@@ -184,7 +184,7 @@ class lap_word {
   /*implicit*/ operator T() const noexcept { return load(); }
   T operator->() const noexcept { return load(); }
 
-  static void operation_completion() noexcept { pmem::pfence(); }
+  static void operation_completion() noexcept { pmem::pfence_if_pending(); }
 
   const void* raw_address() const noexcept { return &val_; }
 

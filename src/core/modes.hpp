@@ -43,9 +43,10 @@ struct FlitWords {
     if constexpr (persistent) pmem::persist_range(o, sizeof(Obj));
   }
 
-  /// End-of-operation fence (Algorithm 4 completeOp).
+  /// End-of-operation fence (Algorithm 4 completeOp), issued only when
+  /// the operation left a pwb outstanding.
   static void operation_completion() noexcept {
-    if constexpr (persistent) pmem::pfence();
+    if constexpr (persistent) pmem::pfence_if_pending();
   }
 };
 
@@ -76,7 +77,7 @@ struct LapWords {
     pmem::persist_range(o, sizeof(Obj));
   }
 
-  static void operation_completion() noexcept { pmem::pfence(); }
+  static void operation_completion() noexcept { pmem::pfence_if_pending(); }
 };
 
 // ---------------------------------------------------------------------------

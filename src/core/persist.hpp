@@ -7,6 +7,7 @@
 //
 // Shared p-store (Algorithm 4, shared-store):
 //     pfence();                 // persist my dependencies (Condition 4)
+//                               //   — only if a pwb of mine is outstanding
 //     tag(X);                   // flit-counter(X)++
 //     X.store(v);
 //     pwb(X);
@@ -98,7 +99,7 @@ class persist {
       val_.store(v, std::memory_order_release);
       return;
     }
-    pmem::pfence();  // Condition 4: dependencies persist before this store
+    pmem::pfence_if_pending();  // Condition 4: dependencies persist first
     if (pflag) {
       tag();
       val_.store(v, std::memory_order_release);
@@ -125,7 +126,7 @@ class persist {
                                           std::memory_order_seq_cst,
                                           std::memory_order_acquire);
     }
-    pmem::pfence();
+    pmem::pfence_if_pending();  // Condition 4
     if (pflag) {
       tag();
       const bool ok = val_.compare_exchange_strong(
@@ -219,7 +220,7 @@ class persist {
     if constexpr (kind == CounterKind::kVolatile) {
       return val_.exchange(v, std::memory_order_acq_rel);
     }
-    pmem::pfence();
+    pmem::pfence_if_pending();  // Condition 4
     if (pflag) {
       tag();
       T old = val_.exchange(v, std::memory_order_acq_rel);
@@ -242,7 +243,7 @@ class persist {
     if constexpr (kind == CounterKind::kVolatile) {
       return val_.fetch_add(amount, std::memory_order_acq_rel);
     }
-    pmem::pfence();
+    pmem::pfence_if_pending();  // Condition 4
     if (pflag) {
       tag();
       T old = val_.fetch_add(amount, std::memory_order_acq_rel);
@@ -290,9 +291,11 @@ class persist {
   }
 
   /// Called at the end of every data-structure operation (Figure 1 /
-  /// Algorithm 4 completeOp): a single pfence persisting all dependencies.
+  /// Algorithm 4 completeOp): a single pfence persisting all dependencies
+  /// — skipped when the operation left no pwb outstanding (a read that
+  /// met no tagged word has nothing to complete).
   static void operation_completion() noexcept {
-    if constexpr (kind != CounterKind::kVolatile) pmem::pfence();
+    if constexpr (kind != CounterKind::kVolatile) pmem::pfence_if_pending();
   }
 
   // --- introspection -------------------------------------------------------

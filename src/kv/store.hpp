@@ -514,7 +514,8 @@ class Store {
   /// Batched get: out[i] corresponds to keys[i] (nullopt if absent; a
   /// reserved sentinel key is simply absent, as in get()). Duplicate keys
   /// are looked up independently. Each returned value is a private,
-  /// never-torn copy; one completion fence covers the whole batch.
+  /// never-torn copy; at most one completion fence covers the whole
+  /// batch (none unless a lookup flushed a tagged word).
   std::vector<std::optional<std::string>> multi_get(
       std::span<const Key> keys) const {
     std::vector<std::optional<std::string>> out(keys.size());
@@ -1001,7 +1002,8 @@ class Store {
   }
 
   /// Lookups of keys[0, n) into out[0, n), shard-grouped and prefetched
-  /// under one EBR guard, then one completion fence for the whole call.
+  /// under one EBR guard, then one dependency (completion) fence for the
+  /// whole call.
   void get_core(std::span<const Key> keys,
                 std::optional<std::string>* out) const {
     const std::size_t n = keys.size();
@@ -1207,10 +1209,14 @@ class Store {
   /// deferred publish pwb, THEN untag/clear the published words
   /// (Condition 3), and only then retire the superseded records —
   /// retiring before the fence could let the old records' storage be
-  /// recycled while a crash image still holds links to them.
+  /// recycled while a crash image still holds links to them. The fence
+  /// is a dependency fence: when a later fence of this thread already
+  /// completed the publish pwbs (a fresh skiplist tower's upper-level
+  /// link CASes fence after the level-0 publish), nothing is outstanding
+  /// and the covering fence has nothing left to cover.
   static void commit_publishes(ds::PublishBatch& batch,
                                std::vector<Record*>& superseded) {
-    if constexpr (Backend_::kPersistent) pmem::pfence();
+    if constexpr (Backend_::kPersistent) pmem::pfence_if_pending();
     batch.complete_all();
     for (Record* r : superseded) Record::retire<Backend_::kPersistent>(r);
     superseded.clear();

@@ -54,8 +54,8 @@ class Client {
     out_.clear();
   }
 
-  /// Blocking read of the next in-order reply. Throws on EOF or a
-  /// protocol error from the server side.
+  /// Blocking read of the next in-order reply. Throws ConnectionClosed
+  /// on EOF, std::runtime_error on a protocol error from the server side.
   Reply read_reply() {
     Reply r;
     for (;;) {
@@ -72,7 +72,7 @@ class Client {
       bool would_block = false;
       const ssize_t n = read_some(fd_.get(), buf, sizeof(buf), would_block);
       if (n == 0) {
-        throw std::runtime_error("net: server closed the connection");
+        throw ConnectionClosed("net: server closed the connection");
       }
       if (n > 0) {
         parser_.feed(std::string_view(buf, static_cast<std::size_t>(n)));

@@ -192,7 +192,7 @@ void write_all(int fd, const void* buf, std::size_t n) {
       }
       continue;
     }
-    throw std::runtime_error("net: connection closed mid-write");
+    throw ConnectionClosed("net: connection closed mid-write");
   }
 }
 

@@ -20,11 +20,19 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <stdexcept>
 #include <string>
 #include <sys/types.h>
 #include <utility>
 
 namespace flit::net {
+
+/// The peer closed the connection (EOF, reset, or a dead peer mid-write).
+/// Distinct from other I/O failures so a client can tell a server that
+/// hung up — e.g. reaped an idle connection — from a protocol error.
+struct ConnectionClosed : std::runtime_error {
+  using std::runtime_error::runtime_error;
+};
 
 /// Move-only owning file descriptor.
 class SocketFd {
@@ -92,7 +100,7 @@ ssize_t write_some(int fd, const void* buf, std::size_t n,
                    bool& would_block);
 
 /// Blocking write of the whole buffer (poll()s through would-block).
-/// Throws std::runtime_error if the peer dies first.
+/// Throws ConnectionClosed if the peer dies first.
 void write_all(int fd, const void* buf, std::size_t n);
 
 }  // namespace flit::net

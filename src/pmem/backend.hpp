@@ -56,6 +56,12 @@ extern std::atomic<std::uint32_t> g_pfence_delay_ns;
 void hw_flush_line(const void* p) noexcept;  // clwb/clflushopt/clflush
 void hw_sfence() noexcept;
 
+/// True while the calling thread has a pwb that no pfence has completed
+/// yet — what pfence_if_pending() consults. Deliberately not a ThreadStats
+/// counter: stats_reset() zeroes those between benchmark phases, and a
+/// forgotten outstanding pwb would let a dependency fence be skipped.
+inline constinit thread_local bool tls_pwb_pending = false;
+
 /// Busy-wait approximately `ns` nanoseconds (0 returns immediately).
 inline void spin_ns(std::uint32_t ns) noexcept {
   if (ns == 0) return;
@@ -92,6 +98,7 @@ inline void pwb(const void* addr) noexcept {
   if (PersistCheck::instance().consume_suppressed_pwb()) return;
 #endif
   count_pwb();
+  detail::tls_pwb_pending = true;
   switch (backend()) {
     case Backend::kNoOp:
       return;
@@ -112,6 +119,7 @@ inline void pwb(const void* addr) noexcept {
 /// memory before any of the thread's subsequent stores/pwbs.
 inline void pfence() noexcept {
   count_pfence();
+  detail::tls_pwb_pending = false;
   switch (backend()) {
     case Backend::kNoOp:
       return;
@@ -128,6 +136,18 @@ inline void pfence() noexcept {
       SimMemory::instance().on_pfence();
       return;
   }
+}
+
+/// Dependency fence: pfence() only if this thread has a pwb outstanding.
+/// For fences whose sole job is to complete *earlier* pwbs — Algorithm 4's
+/// leading Condition-4 fence and the end-of-operation completion fence. A
+/// pfence completes only the calling thread's pwbs, so with none
+/// outstanding it changes neither the persisted image nor what any later
+/// fence guarantees. A fence that follows the caller's own pwb (the
+/// trailing fence of a p-store, persist_range) is unconditional anyway.
+/// See ARCHITECTURE.md, "Dependency fences".
+inline void pfence_if_pending() noexcept {
+  if (detail::tls_pwb_pending) pfence();
 }
 
 /// Flush an arbitrary byte range without fencing: one pwb per spanned

@@ -48,6 +48,52 @@ TEST_F(BackendTest, EveryBackendCountsInstructions) {
   }
 }
 
+// pfence_if_pending() is the dependency fence behind Algorithm 4's
+// Condition-4 and completion fences. It may skip a fence only when no pwb
+// of this thread is outstanding; these pin that it never skips one that
+// is, on every backend.
+TEST_F(BackendTest, DependencyFenceIssuesExactlyWhenAPwbIsOutstanding) {
+  int x = 0;
+  for (Backend b : {Backend::kNoOp, Backend::kHardware, Backend::kSimLatency,
+                    Backend::kSimCrash}) {
+    BackendScope scope(b);
+    const auto fences_of = [](const auto& op) {
+      const StatsSnapshot before = stats_snapshot();
+      op();
+      return (stats_snapshot() - before).pfences;
+    };
+    pfence();
+    EXPECT_EQ(fences_of([] { pfence_if_pending(); }), 0u)
+        << to_string(b) << ": nothing outstanding";
+    pwb(&x);
+    EXPECT_EQ(fences_of([] { pfence_if_pending(); }), 1u)
+        << to_string(b) << ": a pwb is outstanding";
+    EXPECT_EQ(fences_of([] { pfence_if_pending(); }), 0u)
+        << to_string(b) << ": the dependency fence completed it";
+    pwb(&x);
+    pwb(&x);
+    pfence();
+    EXPECT_EQ(fences_of([] { pfence_if_pending(); }), 0u)
+        << to_string(b) << ": a plain pfence completed both";
+  }
+}
+
+TEST_F(BackendTest, DependencyFenceSurvivesAStatsReset) {
+  // stats_reset() zeroes the instruction counters between benchmark
+  // phases; the outstanding-pwb state must not live in them, or a reset
+  // would silently drop a needed fence.
+  int x = 0;
+  for (Backend b : {Backend::kNoOp, Backend::kHardware, Backend::kSimLatency,
+                    Backend::kSimCrash}) {
+    BackendScope scope(b);
+    pfence();
+    pwb(&x);
+    stats_reset();
+    pfence_if_pending();
+    EXPECT_EQ(stats_snapshot().pfences, 1u) << to_string(b);
+  }
+}
+
 TEST_F(BackendTest, HardwareBackendExecutesWithoutFaulting) {
   // Whatever instruction CPUID picked (possibly none) must be callable.
   BackendScope scope(Backend::kHardware);

@@ -22,6 +22,7 @@
 #include "ds/hash_table.hpp"
 #include "ds/natarajan_bst.hpp"
 #include "ds/skiplist.hpp"
+#include "pmem/persist_check.hpp"
 #include "support/test_common.hpp"
 
 namespace flit::ds {
@@ -260,6 +261,14 @@ TEST_F(CrashNegativeTest, VolatileCriticalStoresLoseUpdates) {
   Set recovered = Set::recover(head, tail);
   EXPECT_LT(recovered.size(), 32u)
       << "v-only annotation must not be durable — the checker has teeth";
+  if constexpr (pmem::kPersistCheckEnabled) {
+    // Every insert linked a node it never persisted; PersistCheck must
+    // have flagged them. Acknowledge them, or the process fails at exit.
+    EXPECT_GT(pmem::PersistCheck::instance().violations(
+                  pmem::PersistViolation::kPublishUnpersisted),
+              0u);
+    pmem::PersistCheck::instance().reset_violations();
+  }
 }
 
 }  // namespace

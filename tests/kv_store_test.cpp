@@ -47,6 +47,27 @@ std::string churn_value(std::int64_t k, std::uint64_t salt) {
   return v;
 }
 
+/// Address of k's value word, found by walking every shard's bucket
+/// chains with private loads (no flushes, no tag checks); nullptr if k is
+/// not linked. Lets a test hold one word tagged, as a writer between its
+/// store and its untag would.
+const void* value_word_of(const KvStore& kv, std::int64_t k) {
+  using Node = KvStore::Shard_::Node;
+  for (std::uint32_t i = 0; i < kv.nshards(); ++i) {
+    const auto* roots = kv.shard(i).roots();
+    for (std::size_t b = 0; b < roots->nbuckets; ++b) {
+      const Node* n = roots->entries[b].head;
+      while (n != nullptr && n != roots->entries[b].tail) {
+        if (n->key.load_private() == k) return n->value.raw_address();
+        n = reinterpret_cast<const Node*>(
+            reinterpret_cast<std::uintptr_t>(n->next.load_private()) &
+            ~std::uintptr_t{1});
+      }
+    }
+  }
+  return nullptr;
+}
+
 /// True iff `v` is churn_value(k, s) for some salt s.
 bool churn_value_ok(std::int64_t k, const std::string& v) {
   if (v.size() < 16) return false;
@@ -373,13 +394,16 @@ TEST_F(KvStoreTest, OneElementCallsPayTheBatchFenceBill) {
   // The persistence cost of the one operation path, single-threaded: a
   // put costs exactly what multi_put of one element costs — one fence
   // making the record durable before its link, one covering the link
-  // before the call returns — and a get costs one completion fence.
+  // before the call returns. A read fences only when it flushed a tagged
+  // word: with no pwb outstanding its completion fence would complete
+  // nothing, so it is skipped (ARCHITECTURE.md, "Dependency fences").
   KvStore kv(4, 64);
-  const auto pfences = [](const auto& op) {
+  const auto cost = [](const auto& op) {
     const pmem::StatsSnapshot before = pmem::stats_snapshot();
     op();
-    return (pmem::stats_snapshot() - before).pfences;
+    return pmem::stats_snapshot() - before;
   };
+  const auto pfences = [&](const auto& op) { return cost(op).pfences; };
   const std::vector<std::pair<std::int64_t, std::string_view>> one = {
       {2, "b"}};
 
@@ -398,10 +422,35 @@ TEST_F(KvStoreTest, OneElementCallsPayTheBatchFenceBill) {
       {4, "d"}};
   EXPECT_EQ(pfences([&] { kv.multi_put(fresh_one); }), fresh);
 
-  EXPECT_EQ(pfences([&] { (void)kv.get(1); }), 1u);
-  EXPECT_EQ(pfences([&] { (void)kv.get(99); }), 1u);  // a miss too
+  // Reads of an untagged store flush nothing, so they fence nothing.
+  EXPECT_EQ(pfences([&] { (void)kv.get(1); }), 0u);
+  EXPECT_EQ(pfences([&] { (void)kv.get(99); }), 0u);  // a miss too
   const std::vector<std::int64_t> key = {1};
-  EXPECT_EQ(pfences([&] { (void)kv.multi_get(key); }), 1u);
+  EXPECT_EQ(pfences([&] { (void)kv.multi_get(key); }), 0u);
+
+  // A read that meets a word held tagged (a writer between its store
+  // and its untag) flushes it and must then fence it.
+  const void* word = value_word_of(kv, 1);
+  ASSERT_NE(word, nullptr);
+  HashedPolicy::tag(word);
+  const pmem::StatsSnapshot tagged_get = cost([&] { (void)kv.get(1); });
+  HashedPolicy::untag(word);
+  EXPECT_EQ(tagged_get.pwbs, 1u);
+  EXPECT_EQ(tagged_get.pfences, 1u);
+
+  // A removal of a present key pays one trailing fence per persistent
+  // CAS and no leading or completion fence: under Automatic that is the
+  // mark, the value claim and the unlink. An absent key changes nothing
+  // and fences nothing.
+  EXPECT_EQ(pfences([&] { EXPECT_TRUE(kv.remove(3)); }), 3u);
+  EXPECT_EQ(pfences([&] { EXPECT_FALSE(kv.remove(3)); }), 0u);
+
+  // Under Manual the claim and unlink are cleanup stores, which are
+  // volatile: only the mark CAS fences.
+  Store<HashedWords, Manual> manual(4, 64);
+  manual.put(5, "e");
+  EXPECT_EQ(pfences([&] { EXPECT_TRUE(manual.remove(5)); }), 1u);
+  EXPECT_EQ(pfences([&] { EXPECT_FALSE(manual.remove(5)); }), 0u);
 }
 
 TEST_F(KvStoreTest, MultiPutReservedKeyThrowsBeforeAnySideEffect) {

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <thread>
 #include <vector>
 
@@ -122,7 +123,16 @@ TYPED_TEST(PersistTypedTest, ConcurrentCasElectsOneWinnerPerRound) {
 
 // --- pwb-count behaviour (the point of the FliT algorithm) -----------------
 
-class PersistCountsTest : public PmemTest {};
+class PersistCountsTest : public PmemTest {
+ protected:
+  // A known start: no pwb of this thread outstanding, whatever an earlier
+  // test left behind. Fence counts below depend on it, because the leading
+  // Condition-4 fence is issued only when a pwb is outstanding.
+  void SetUp() override {
+    PmemTest::SetUp();
+    pmem::pfence();
+  }
+};
 
 TEST_F(PersistCountsTest, PLoadOnUntaggedLocationSkipsPwb) {
   pmem::BackendScope scope(pmem::Backend::kNoOp);
@@ -164,9 +174,22 @@ TEST_F(PersistCountsTest, PLoadOnTaggedLocationFlushes) {
   HashedPolicy::untag(x.raw_address());
 }
 
-TEST_F(PersistCountsTest, PStoreIssuesOnePwbAndTwoPfences) {
+TEST_F(PersistCountsTest, PStoreWithNothingOutstandingIssuesOneFence) {
   pmem::BackendScope scope(pmem::Backend::kNoOp);
   persist<int, HashedPolicy> x(0);
+  const auto before = pmem::stats_snapshot();
+  x.store(1, kPersist);
+  const auto d = pmem::stats_snapshot() - before;
+  EXPECT_EQ(d.pwbs, 1u);
+  EXPECT_EQ(d.pfences, 1u)
+      << "no dependency outstanding: only the fence before untag";
+}
+
+TEST_F(PersistCountsTest, PStoreAfterAnOutstandingPwbIssuesTwoFences) {
+  pmem::BackendScope scope(pmem::Backend::kNoOp);
+  persist<int, HashedPolicy> x(0);
+  int dep = 0;
+  pmem::pwb(&dep);  // a dependency this thread flushed but did not fence
   const auto before = pmem::stats_snapshot();
   x.store(1, kPersist);
   const auto d = pmem::stats_snapshot() - before;
@@ -174,9 +197,21 @@ TEST_F(PersistCountsTest, PStoreIssuesOnePwbAndTwoPfences) {
   EXPECT_EQ(d.pfences, 2u) << "Algorithm 4: fence before store + before untag";
 }
 
-TEST_F(PersistCountsTest, VStoreIssuesOnlyTheLeadingFence) {
+TEST_F(PersistCountsTest, VStoreWithNothingOutstandingIssuesNoFence) {
   pmem::BackendScope scope(pmem::Backend::kNoOp);
   persist<int, HashedPolicy> x(0);
+  const auto before = pmem::stats_snapshot();
+  x.store(1, kVolatile);
+  const auto d = pmem::stats_snapshot() - before;
+  EXPECT_EQ(d.pwbs, 0u);
+  EXPECT_EQ(d.pfences, 0u) << "a Condition-4 fence with nothing to complete";
+}
+
+TEST_F(PersistCountsTest, VStoreFencesAnOutstandingPwb) {
+  pmem::BackendScope scope(pmem::Backend::kNoOp);
+  persist<int, HashedPolicy> x(0);
+  int dep = 0;
+  pmem::pwb(&dep);
   const auto before = pmem::stats_snapshot();
   x.store(1, kVolatile);
   const auto d = pmem::stats_snapshot() - before;
@@ -240,6 +275,48 @@ TEST_F(PersistCrashTest, PStoreSurvivesCrashVStoreMayNot) {
   // The v-store went to the same pool but was never flushed. Its line may
   // coincidentally persist if it shares a line with a flushed word, so we
   // only check it did not corrupt px.
+}
+
+TEST_F(PersistCrashTest, ReaderCompletionPersistsTheTaggedWordItFlushed) {
+  // The dependency-fence rule on the read side: a p-load that meets a
+  // tagged word pwbs it, so the reader's completion fence is NOT skipped
+  // and the value it observed reaches the persisted image.
+  using P = persist<std::uint64_t, HashedPolicy>;
+  using Words = FlitWords<HashedPolicy>;
+  pmem::Pool::instance().register_with_sim();
+  auto* px = pmem::pnew<P>(std::uint64_t{0});
+  pmem::SimMemory::instance().persist_all();
+
+  pmem::BackendScope scope(pmem::Backend::kSimCrash);
+  pmem::pfence();  // nothing of this thread outstanding
+  // A writer stored 42 and is between its store and its own fence: the
+  // value is visible, tagged, and not yet persisted.
+  HashedPolicy::tag(px->raw_address());
+  px->store_private(42, kVolatile);
+  const auto shadow_word = [&] {
+    // The pool is the only registered region (index 0).
+    const std::vector<std::byte> img =
+        pmem::SimMemory::instance().clone_shadow(0);
+    const auto off = reinterpret_cast<std::uintptr_t>(px->raw_address()) -
+                     reinterpret_cast<std::uintptr_t>(
+                         pmem::Pool::instance().base());
+    std::uint64_t w = ~std::uint64_t{0};
+    if (off + sizeof(w) <= img.size()) {
+      std::memcpy(&w, img.data() + off, sizeof(w));
+    }
+    return w;
+  };
+  ASSERT_EQ(shadow_word(), 0u);
+
+  const auto before = pmem::stats_snapshot();
+  EXPECT_EQ(px->load(kPersist), 42u);
+  Words::operation_completion();
+  const auto d = pmem::stats_snapshot() - before;
+  EXPECT_EQ(d.pwbs, 1u);
+  EXPECT_EQ(d.pfences, 1u);
+  EXPECT_EQ(shadow_word(), 42u)
+      << "the reader's completion must persist what it observed";
+  HashedPolicy::untag(px->raw_address());
 }
 
 TEST_F(PersistCrashTest, AllRmwFormsAreDurable) {

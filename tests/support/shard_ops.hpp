@@ -20,8 +20,8 @@
 namespace flit::test {
 
 /// put(k, v) on a bare shard: flush the record, fence, publish with a
-/// deferred fence, fence, untag, then retire what the put superseded.
-/// Returns true on a fresh insert.
+/// deferred fence, fence (a dependency fence, as in Store), untag, then
+/// retire what the put superseded. Returns true on a fresh insert.
 template <class ShardT>
 bool shard_put(ShardT& shard, std::int64_t k, std::string_view v) {
   ds::PublishBatch batch;
@@ -31,7 +31,7 @@ bool shard_put(ShardT& shard, std::int64_t k, std::string_view v) {
   kv::Record* rec = kv::Record::create<ShardT::Backend_::kPersistent>(v);
   pmem::pfence();
   const bool fresh = shard.put_batched(k, rec, batch, superseded);
-  pmem::pfence();
+  pmem::pfence_if_pending();
   batch.complete_all();
   for (kv::Record* r : superseded) {
     kv::Record::retire<ShardT::Backend_::kPersistent>(r);
@@ -40,7 +40,7 @@ bool shard_put(ShardT& shard, std::int64_t k, std::string_view v) {
 }
 
 /// get(k) on a bare shard: the lookup under a guard, then the completion
-/// fence.
+/// fence (issued only if the lookup flushed a tagged word).
 template <class ShardT>
 std::optional<std::string> shard_get(const ShardT& shard, std::int64_t k) {
   std::optional<std::string> out;
@@ -48,7 +48,7 @@ std::optional<std::string> shard_get(const ShardT& shard, std::int64_t k) {
     recl::Ebr::Guard g;
     out = shard.get_batched(k);
   }
-  pmem::pfence();
+  pmem::pfence_if_pending();
   return out;
 }
 

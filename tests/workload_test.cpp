@@ -117,9 +117,10 @@ TEST_F(RunnerTest, ZeroUpdateWorkloadIssuesNoPwbsWithFlit) {
   prefill(t, cfg);
   const RunResult r = run_workload(t, cfg);
   // §6.5: at 0% updates FliT loads never flush (no location is ever
-  // tagged); only per-operation completion fences remain.
+  // tagged), so no completion fence has a pwb to complete: a read-only
+  // FliT workload issues neither pwbs nor fences.
   EXPECT_EQ(r.persistence.pwbs, 0u);
-  EXPECT_GT(r.persistence.pfences, 0u);
+  EXPECT_EQ(r.persistence.pfences, 0u);
 }
 
 TEST(TableOutput, FormatsAndCsv) {
