@@ -30,7 +30,7 @@
 //                           after the store is built — unlike the
 //                           FLIT_FAILPOINTS env var, which would also
 //                           fire during store construction and kill the
-//                           boot. Requires a FLIT_FAILPOINTS=ON build.
+//                           boot. Requires a FLIT_CHECKED=ON build.
 //   --max-conns=N           shed new connections past N open (0 = no
 //                           cap; default 4096)
 //   --idle-timeout-ms=N     close connections idle longer than N ms
@@ -140,8 +140,8 @@ Options parse(int argc, char** argv) {
   if (o.flush_ms <= 0) usage_error("--flush-ms must be positive");
   if (o.idle_timeout_ms < 0) usage_error("--idle-timeout-ms must be >= 0");
   if (!o.failpoints.empty() && !core::kFailpointsEnabled) {
-    usage_error("--failpoints needs a FLIT_FAILPOINTS=ON build "
-                "(cmake --preset failpoints)");
+    usage_error("--failpoints needs a FLIT_CHECKED=ON build "
+                "(cmake --preset checked)");
   }
   return o;
 }
@@ -210,20 +210,7 @@ int serve(const Options& o) {
   server.run();
   g_shutdown.store(nullptr, std::memory_order_release);
 
-  const net::ServerStats& s = server.stats();
-  std::printf(
-      "flit-server: stopped. connections=%llu requests=%llu "
-      "batched_keys=%llu scalar_ops=%llu protocol_errors=%llu "
-      "checkpoints=%llu shed=%llu idle_timeouts=%llu keys=%zu\n",
-      static_cast<unsigned long long>(s.connections.load()),
-      static_cast<unsigned long long>(s.requests.load()),
-      static_cast<unsigned long long>(s.batched_keys.load()),
-      static_cast<unsigned long long>(s.scalar_ops.load()),
-      static_cast<unsigned long long>(s.protocol_errors.load()),
-      static_cast<unsigned long long>(store.checkpoints()),
-      static_cast<unsigned long long>(s.shed_connections.load()),
-      static_cast<unsigned long long>(s.idle_timeouts.load()),
-      store.size());
+  std::printf("flit-server: stopped. %s\n", server.stats_report().c_str());
   store.close();  // flusher stops; file-backed: final msync + clean mark
   return 0;
 }

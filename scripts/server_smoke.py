@@ -165,8 +165,9 @@ def main():
     ap.add_argument("--seconds", type=float, default=0.3,
                     help="measurement time per loadgen point")
     ap.add_argument("--failpoints", action="store_true",
-                    help="server was built with FLIT_FAILPOINTS=ON: also "
-                         "run the fault-injection round")
+                    help="server was built with FLIT_CHECKED=ON (the "
+                         "failpoint sites compiled in): also run the "
+                         "fault-injection round")
     args = ap.parse_args()
     try:
         return run_rounds(args)

@@ -3,7 +3,7 @@
 // `lc_*` hook helpers the kv/ds/pmem layers call.
 //
 // Wiring mirrors PersistCheck (pmem/persist_check.hpp): the hook helpers
-// are inline and compile to nothing unless the FLIT_LINCHECK CMake option
+// are inline and compile to nothing unless the FLIT_CHECKED CMake option
 // defines FLIT_LINCHECK, so default builds carry zero overhead — no tick
 // traffic, no registry, not even the value hashing (it happens inside the
 // disabled helper). The classes themselves are compiled unconditionally

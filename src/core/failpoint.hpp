@@ -10,8 +10,9 @@
 // accept backoff) become deterministic, regression-testable behavior.
 //
 // Zero cost when disabled: the fp_inject() hook below compiles to a
-// constant 0 unless FLIT_FAILPOINTS is defined (the `failpoints` CMake
-// preset, mirroring FLIT_PERSIST_CHECK / FLIT_LINCHECK), so default
+// constant 0 unless FLIT_FAILPOINTS is defined (the FLIT_CHECKED CMake
+// option, `checked` preset, which also defines FLIT_PERSIST_CHECK and
+// FLIT_LINCHECK), so default
 // builds carry byte-identical hot paths. The registry class itself is
 // always compiled — spec parsing and trigger arithmetic stay unit-tested
 // in every build; only the hot-path consultation is gated.

@@ -10,16 +10,22 @@
 // Per readiness event a worker drains the socket into the connection's
 // incremental RequestParser, then executes *every* fully parsed request
 // before writing anything back. This is where the network layer becomes
-// the batch former for the store's multi-ops: consecutive runs of the
-// same command inside one pipelined burst are grouped into a single
-// multi_get / multi_put / multi_remove (a singleton run is a batch of
-// one — the store has no separate scalar path), so a client pipelining k
-// SETs pays two pfences for the run instead of two per SET.
-// Grouping only ever merges *adjacent* same-command requests, so the
-// per-connection sequential semantics are byte-identical to one-at-a-time
-// execution — a GET pipelined after a SET of the same key always sees
-// the SET (replies stay in request order, runs never reorder across a
-// different command).
+// the batch former for the store's multi-ops. Each keyed command has a
+// kind — read (GET, MGET), write (SET, MSET) or remove (DEL, MDEL) — and
+// a run of adjacent requests of one kind inside a pipelined burst makes
+// one multi_get / multi_put / multi_remove call (a lone GET is a batch of
+// one — the store has no separate scalar path). A client pipelining k
+// SETs, or mixing SETs and MSETs, pays the write fences once per run
+// instead of once per request. Every request is validated as a whole
+// before the run touches the store, so an invalid one gets its own -ERR
+// while the valid rest still batch, and each reply takes the shape of
+// its own command (GET a bulk, MGET an array, DEL/MDEL the count of its
+// own keys). Grouping only ever merges *adjacent* requests of one kind,
+// so the per-connection sequential semantics are byte-identical to
+// one-at-a-time execution: reads commute, and writes and removes apply in
+// batch order with duplicate keys last-wins — a GET pipelined after a SET
+// of the same key always sees the SET (replies stay in request order,
+// runs never reorder across a different kind).
 //
 // Commands (keys are int64 decimal; INT64_MIN/INT64_MAX reserved):
 //
@@ -46,10 +52,10 @@
 #include <atomic>
 #include <cerrno>
 #include <chrono>
-#include <concepts>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <iterator>
 #include <limits>
 #include <memory>
 #include <mutex>
@@ -111,22 +117,25 @@ struct ServerConfig {
 struct ServerStats {
   std::atomic<std::uint64_t> connections{0};  ///< accepted, lifetime
   std::atomic<std::uint64_t> requests{0};     ///< commands executed
-  std::atomic<std::uint64_t> batched_keys{0};  ///< keys via longer runs
-  std::atomic<std::uint64_t> scalar_ops{0};    ///< keys via runs of one
+  /// Keys of store calls that carried more than one key.
+  std::atomic<std::uint64_t> batched_keys{0};
+  /// Keys of store calls that carried exactly one key.
+  std::atomic<std::uint64_t> scalar_ops{0};
   std::atomic<std::uint64_t> protocol_errors{0};
-  // Overload/degradation telemetry (see ISSUE: robustness runs must be
-  // diffable like perf runs — these feed the STATS reply's shed_conns=,
-  // idle_timeouts=, accept_backoffs= fields).
+  // Overload/degradation telemetry: the STATS reply's shed_conns=,
+  // idle_timeouts= and accept_backoffs= fields, so robustness runs are
+  // diffable like perf runs.
   std::atomic<std::uint64_t> open_connections{0};   ///< gauge, not lifetime
   std::atomic<std::uint64_t> shed_connections{0};   ///< over max_connections
   std::atomic<std::uint64_t> idle_timeouts{0};      ///< reaped by the wheel
   std::atomic<std::uint64_t> accept_backoffs{0};    ///< fd-pressure episodes
 };
 
-/// The epoll front-end, generic over the store exactly like the bench
-/// layer: KV needs get/put/remove + multi_get/multi_put/multi_remove +
-/// size(); scan(start, n, out) and the durability hook are detected and
-/// used when present (kv::Store / kv::OrderedStore provide all of it).
+/// The epoll front-end, generic over the store: KV needs
+/// multi_get/multi_put/multi_remove, size(), note_write_commit(),
+/// checkpoints(), health() and kOrdered (kv::Store, kv::OrderedStore and
+/// perfbench's TimedStore wrapper all provide them). scan(start, n, out)
+/// is detected and used when present.
 template <class KV>
 class Server {
  public:
@@ -134,15 +143,6 @@ class Server {
       const KV& c, std::int64_t k, std::size_t n,
       std::vector<std::pair<std::int64_t, std::string>>& out) {
     { c.scan(k, n, out) };
-  };
-  static constexpr bool kHasDurabilityHook = requires(KV& s) {
-    { s.note_write_commit() };
-  };
-  static constexpr bool kHasCheckpoints = requires(const KV& s) {
-    { s.checkpoints() } -> std::convertible_to<std::uint64_t>;
-  };
-  static constexpr bool kHasHealth = requires(const KV& s) {
-    { s.health() } -> std::convertible_to<kv::Health>;
   };
 
   Server(KV& store, ServerConfig cfg)
@@ -171,6 +171,33 @@ class Server {
 
   std::uint16_t port() const noexcept { return port_; }
   const ServerStats& stats() const noexcept { return stats_; }
+
+  /// The text of the STATS reply: space-separated key=value telemetry
+  /// (serving counters, pwb/pfence totals, the store's checkpoints, key
+  /// count and health). Scripts parse it by key, so keys are only added.
+  std::string stats_report() const {
+    const pmem::StatsSnapshot ps = pmem::stats_snapshot();
+    char buf[512];
+    std::snprintf(
+        buf, sizeof(buf),
+        "layout=%s requests=%llu connections=%llu batched_keys=%llu "
+        "scalar_ops=%llu protocol_errors=%llu pwbs=%llu pfences=%llu "
+        "checkpoints=%llu keys=%llu health=%s open_conns=%llu "
+        "shed_conns=%llu idle_timeouts=%llu accept_backoffs=%llu "
+        "injected_faults=%llu",
+        KV::kOrdered ? "ordered" : "hashed", load(stats_.requests),
+        load(stats_.connections), load(stats_.batched_keys),
+        load(stats_.scalar_ops), load(stats_.protocol_errors),
+        static_cast<unsigned long long>(ps.pwbs),
+        static_cast<unsigned long long>(ps.pfences),
+        static_cast<unsigned long long>(store_.checkpoints()),
+        static_cast<unsigned long long>(store_.size()),
+        kv::to_string(store_.health()), load(stats_.open_connections),
+        load(stats_.shed_connections), load(stats_.idle_timeouts),
+        load(stats_.accept_backoffs),
+        static_cast<unsigned long long>(core::fp_total_injected()));
+    return buf;
+  }
 
   /// Accept loop; blocks the calling thread until shutdown() (or a
   /// SHUTDOWN command) stops the server, then joins the workers.
@@ -555,6 +582,7 @@ class Server {
 
   // --- command execution ----------------------------------------------------
 
+  /// Indexes kCommands.
   enum class Cmd {
     kGet,
     kSet,
@@ -569,21 +597,52 @@ class Server {
     kUnknown,
   };
 
+  /// What a keyed command does to the store; kNone for the rest. A run
+  /// of adjacent requests of one kind makes one store call.
+  enum class Kind { kRead, kWrite, kRemove, kNone };
+
+  struct CmdSpec {
+    std::string_view name;   ///< upper case
+    Kind kind;
+    bool multi;              ///< takes one or more keys (or pairs)
+    std::string_view usage;  ///< the -ERR reply to a wrong arity
+  };
+
+  static constexpr CmdSpec kCommands[] = {
+      {"GET", Kind::kRead, false, "ERR GET expects: GET key"},
+      {"SET", Kind::kWrite, false, "ERR SET expects: SET key value"},
+      {"DEL", Kind::kRemove, false, "ERR DEL expects: DEL key"},
+      {"MGET", Kind::kRead, true, "ERR MGET expects: MGET key [key ...]"},
+      {"MSET", Kind::kWrite, true,
+       "ERR MSET expects: MSET key value [k v ...]"},
+      {"MDEL", Kind::kRemove, true, "ERR MDEL expects: MDEL key [key ...]"},
+      {"SCAN", Kind::kNone, false, {}},
+      {"PING", Kind::kNone, false, {}},
+      {"STATS", Kind::kNone, false, {}},
+      {"SHUTDOWN", Kind::kNone, false, {}},
+  };
+
+  static const CmdSpec& spec(Cmd cmd) noexcept {
+    return kCommands[static_cast<std::size_t>(cmd)];
+  }
+
+  static Kind kind_of(Cmd cmd) noexcept {
+    return cmd == Cmd::kUnknown ? Kind::kNone : spec(cmd).kind;
+  }
+
+  /// Case-insensitive match of the command name; no copy of it is made.
   static Cmd classify(const Request& r) noexcept {
-    std::string up = r.argv[0];
-    for (char& ch : up) {
-      if (ch >= 'a' && ch <= 'z') ch = static_cast<char>(ch - 'a' + 'A');
+    const std::string_view name = r.argv[0];
+    const auto upper_eq = [](char a, char u) {
+      return (a >= 'a' && a <= 'z' ? a - 'a' + 'A' : a) == u;
+    };
+    for (std::size_t i = 0; i < std::size(kCommands); ++i) {
+      const std::string_view known = kCommands[i].name;
+      if (name.size() == known.size() &&
+          std::equal(name.begin(), name.end(), known.begin(), upper_eq)) {
+        return static_cast<Cmd>(i);
+      }
     }
-    if (up == "GET") return Cmd::kGet;
-    if (up == "SET") return Cmd::kSet;
-    if (up == "DEL") return Cmd::kDel;
-    if (up == "MGET") return Cmd::kMget;
-    if (up == "MSET") return Cmd::kMset;
-    if (up == "MDEL") return Cmd::kMdel;
-    if (up == "SCAN") return Cmd::kScan;
-    if (up == "PING") return Cmd::kPing;
-    if (up == "STATS") return Cmd::kStats;
-    if (up == "SHUTDOWN") return Cmd::kShutdown;
     return Cmd::kUnknown;
   }
 
@@ -593,8 +652,8 @@ class Server {
   }
 
   /// Validate one key argument; sets `err` (reply text) on failure.
-  static std::optional<std::int64_t> parse_key(const std::string& s,
-                                               std::string& err) {
+  static std::optional<std::int64_t> parse_key(std::string_view s,
+                                               std::string_view& err) {
     const auto k = detail::parse_i64(s);
     if (!k) {
       err = "ERR key is not an int64";
@@ -607,46 +666,36 @@ class Server {
     return k;
   }
 
-  /// Execute every request of one readiness event: adjacent same-command
-  /// runs of GET/SET/DEL collapse into one multi-op (a length 1 run is a
-  /// batch of one), everything else executes one by one. Replies are appended
-  /// in request order. The durability hook runs once, after all of the
-  /// event's writes and before the caller flushes replies.
-  void execute_batch(Conn& c, std::vector<Request>& reqs,
+  /// Execute every request of one readiness event: each request is
+  /// classified once, adjacent keyed requests of one kind run as one
+  /// store call, everything else executes one by one. Replies are
+  /// appended in request order. The durability hook runs once, after all
+  /// of the event's writes and before the caller flushes replies.
+  void execute_batch(Conn& c, std::span<const Request> reqs,
                      bool& shutdown_after) {
     stats_.requests.fetch_add(reqs.size(), std::memory_order_relaxed);
+    std::vector<Cmd>& cmds = scratch_.cmds;
+    cmds.clear();
+    for (const Request& r : reqs) cmds.push_back(classify(r));
     // Replies appended past this mark are withdrawn if the commit-point
     // durability hook fails: "acknowledged ⇒ durable" must hold even
     // when msync stops cooperating.
     const std::size_t out_mark = c.out.size();
     bool wrote = false;
-    std::size_t i = 0;
-    while (i < reqs.size()) {
-      const Cmd cmd = classify(reqs[i]);
-      if (cmd == Cmd::kGet || cmd == Cmd::kSet || cmd == Cmd::kDel) {
-        std::size_t j = i + 1;
-        while (j < reqs.size() && classify(reqs[j]) == cmd) ++j;
-        const std::span<Request> run(reqs.data() + i, j - i);
-        switch (cmd) {
-          case Cmd::kGet:
-            run_gets(c, run);
-            break;
-          case Cmd::kSet:
-            run_sets(c, run, wrote);
-            break;
-          default:
-            run_dels(c, run, wrote);
-            break;
-        }
-        i = j;
+    for (std::size_t i = 0, j = 0; i < reqs.size(); i = j) {
+      const Kind kind = kind_of(cmds[i]);
+      j = i + 1;
+      if (kind == Kind::kNone) {
+        execute_single(c, reqs[i], cmds[i], shutdown_after);
         continue;
       }
-      execute_single(c, reqs[i], cmd, wrote, shutdown_after);
-      ++i;
+      while (j < reqs.size() && kind_of(cmds[j]) == kind) ++j;
+      run_keyed(c, reqs.subspan(i, j - i),
+                std::span<const Cmd>(cmds).subspan(i, j - i), kind, wrote);
     }
     if (wrote) {
       try {
-        note_write_commit();
+        store_.note_write_commit();
       } catch (const std::exception&) {
         // The event's writes cannot be acknowledged as durable (kAlways
         // msync failed; the store has latched read-only). The reply
@@ -663,210 +712,141 @@ class Server {
     }
   }
 
-  void note_write_commit() {
-    if constexpr (kHasDurabilityHook) store_.note_write_commit();
-  }
+  /// Where one request of a run landed in the run's batch: its first key,
+  /// or the -ERR text that kept it out of the batch.
+  struct Slot {
+    std::size_t first = 0;
+    std::string_view err;
+  };
 
-  /// A run of GETs: one multi_get. Requests that fail validation get
-  /// their error reply in place; the valid rest still batch.
-  void run_gets(Conn& c, std::span<Request> run) {
-    std::vector<std::int64_t> keys;
-    std::vector<std::string> errs(run.size());
-    std::vector<std::size_t> slot(run.size(), SIZE_MAX);
-    keys.reserve(run.size());
-    for (std::size_t i = 0; i < run.size(); ++i) {
-      if (run[i].argv.size() != 2) {
-        errs[i] = "ERR GET expects: GET key";
-        continue;
-      }
-      const auto k = parse_key(run[i].argv[1], errs[i]);
-      if (!k) continue;
-      slot[i] = keys.size();
-      keys.push_back(*k);
+  /// Validate one keyed request as a whole (arity, key syntax, reserved
+  /// keys, value size) and append its keys — and for writes its values —
+  /// to the run's batch. An invalid request adds nothing; its -ERR text
+  /// is returned.
+  std::string_view add_to_batch(const Request& r, Cmd cmd, Kind kind) {
+    const std::size_t stride = kind == Kind::kWrite ? 2 : 1;
+    const std::size_t args = r.argv.size() - 1;
+    if (spec(cmd).multi ? args < stride || args % stride != 0
+                        : args != stride) {
+      return spec(cmd).usage;
     }
-    count_run_keys(run.size(), keys.size());
-    const auto vals = store_.multi_get(keys);
-    for (std::size_t i = 0; i < run.size(); ++i) {
-      if (slot[i] == SIZE_MAX) {
-        append_error(c.out, errs[i]);
-      } else if (vals[slot[i]]) {
-        append_bulk(c.out, *vals[slot[i]]);
+    const std::size_t keys_mark = scratch_.keys.size();
+    const std::size_t kvs_mark = scratch_.kvs.size();
+    std::string_view err;
+    for (std::size_t a = 1; a < r.argv.size(); a += stride) {
+      const auto k = parse_key(r.argv[a], err);
+      if (k && kind == Kind::kWrite &&
+          r.argv[a + 1].size() > cfg_.max_value_bytes) {
+        err = "ERR value too large";
+      }
+      if (!err.empty()) {
+        scratch_.keys.resize(keys_mark);
+        scratch_.kvs.resize(kvs_mark);
+        return err;
+      }
+      if (kind == Kind::kWrite) {
+        scratch_.kvs.emplace_back(*k, std::string_view(r.argv[a + 1]));
       } else {
-        append_null(c.out);
+        scratch_.keys.push_back(*k);
       }
     }
+    return {};
   }
 
-  /// A run of SETs: one multi_put. Validation (arity, key syntax,
-  /// reserved keys, value size) happens before anything is applied, so a
-  /// bad element costs only its own error reply. A run with no valid
-  /// element never reaches the store: there is nothing to apply, and
-  /// marking the event as a write would make kAlways msync for nothing.
-  void run_sets(Conn& c, std::span<Request> run, bool& wrote) {
-    std::vector<std::pair<std::int64_t, std::string_view>> kvs;
-    std::vector<std::string> errs(run.size());
-    std::vector<bool> valid(run.size(), false);
-    kvs.reserve(run.size());
+  /// A run of adjacent keyed requests of one kind: one multi_get,
+  /// multi_put or multi_remove for every valid request, then one reply
+  /// per request in the shape of its command. A run with no valid key
+  /// never reaches the store: there is nothing to apply, and marking the
+  /// event as a write would make kAlways msync for nothing. STATS counts
+  /// the keys of a one-key store call as scalar_ops and the rest as
+  /// batched_keys.
+  void run_keyed(Conn& c, std::span<const Request> run,
+                 std::span<const Cmd> cmds, Kind kind, bool& wrote) {
+    Scratch& s = scratch_;
+    s.keys.clear();
+    s.kvs.clear();
+    s.slots.clear();
     for (std::size_t i = 0; i < run.size(); ++i) {
-      const Request& r = run[i];
-      if (r.argv.size() != 3) {
-        errs[i] = "ERR SET expects: SET key value";
-        continue;
-      }
-      const auto k = parse_key(r.argv[1], errs[i]);
-      if (!k) continue;
-      if (r.argv[2].size() > cfg_.max_value_bytes) {
-        errs[i] = "ERR value too large";
-        continue;
-      }
-      valid[i] = true;
-      kvs.emplace_back(*k, std::string_view(r.argv[2]));
+      const std::size_t first =
+          kind == Kind::kWrite ? s.kvs.size() : s.keys.size();
+      s.slots.push_back({first, add_to_batch(run[i], cmds[i], kind)});
     }
-    count_run_keys(run.size(), kvs.size());
-    std::string batch_err;
-    const bool applied =
-        kvs.empty() ||
-        apply_store_err(batch_err, [&] { store_.multi_put(kvs); }, &wrote);
-    for (std::size_t i = 0; i < run.size(); ++i) {
-      if (!valid[i]) {
-        append_error(c.out, errs[i]);
-      } else if (applied) {
-        append_simple(c.out, "OK");
-      } else {
-        append_error(c.out, batch_err);
-      }
-    }
-  }
-
-  /// A run of DELs: one multi_remove (skipped, like an all-invalid SET
-  /// run, when no element is valid).
-  void run_dels(Conn& c, std::span<Request> run, bool& wrote) {
-    std::vector<std::int64_t> keys;
-    std::vector<std::string> errs(run.size());
-    std::vector<std::size_t> slot(run.size(), SIZE_MAX);
-    keys.reserve(run.size());
-    for (std::size_t i = 0; i < run.size(); ++i) {
-      if (run[i].argv.size() != 2) {
-        errs[i] = "ERR DEL expects: DEL key";
-        continue;
-      }
-      const auto k = parse_key(run[i].argv[1], errs[i]);
-      if (!k) continue;
-      slot[i] = keys.size();
-      keys.push_back(*k);
-    }
-    count_run_keys(run.size(), keys.size());
+    const std::size_t n = kind == Kind::kWrite ? s.kvs.size() : s.keys.size();
+    std::vector<std::optional<std::string>> vals;
     std::vector<bool> removed;
     std::string batch_err;
-    const bool applied =
-        keys.empty() ||
-        apply_store_err(
-            batch_err, [&] { removed = store_.multi_remove(keys); }, &wrote);
+    bool applied = true;
+    if (n > 0) {
+      (n == 1 ? stats_.scalar_ops : stats_.batched_keys)
+          .fetch_add(n, std::memory_order_relaxed);
+      switch (kind) {
+        case Kind::kRead:
+          vals = store_.multi_get(s.keys);
+          break;
+        case Kind::kWrite:
+          applied = apply_store(batch_err, [&] { store_.multi_put(s.kvs); },
+                                wrote);
+          break;
+        default:
+          applied = apply_store(
+              batch_err, [&] { removed = store_.multi_remove(s.keys); },
+              wrote);
+          break;
+      }
+    }
     for (std::size_t i = 0; i < run.size(); ++i) {
-      if (slot[i] == SIZE_MAX) {
-        append_error(c.out, errs[i]);
-      } else if (applied) {
-        append_integer(c.out, removed[slot[i]] ? 1 : 0);
-      } else {
+      const Slot& slot = s.slots[i];
+      if (!slot.err.empty()) {
+        append_error(c.out, slot.err);
+        continue;
+      }
+      if (!applied) {
         append_error(c.out, batch_err);
+        continue;
+      }
+      const std::size_t keys =
+          (run[i].argv.size() - 1) / (kind == Kind::kWrite ? 2 : 1);
+      switch (kind) {
+        case Kind::kRead:
+          if (!spec(cmds[i]).multi) {
+            append_value(c.out, vals[slot.first]);
+            break;
+          }
+          append_array_header(c.out, keys);
+          for (std::size_t k = 0; k < keys; ++k) {
+            append_value(c.out, vals[slot.first + k]);
+          }
+          break;
+        case Kind::kWrite:
+          append_simple(c.out, "OK");
+          break;
+        default: {
+          std::int64_t count = 0;
+          for (std::size_t k = 0; k < keys; ++k) {
+            count += removed[slot.first + k] ? 1 : 0;
+          }
+          append_integer(c.out, count);
+          break;
+        }
       }
     }
   }
 
-  /// STATS splits served keys by run length: a run of one request is
-  /// request-per-round-trip traffic (scalar_ops), a longer run is
-  /// pipelined traffic (batched_keys). Both take the same store path.
-  void count_run_keys(std::size_t run_len, std::size_t keys) {
-    (run_len == 1 ? stats_.scalar_ops : stats_.batched_keys)
-        .fetch_add(keys, std::memory_order_relaxed);
+  static void append_value(std::string& out,
+                           const std::optional<std::string>& v) {
+    if (v) {
+      append_bulk(out, *v);
+    } else {
+      append_null(out);
+    }
   }
 
-  void execute_single(Conn& c, const Request& r, Cmd cmd, bool& wrote,
+  void execute_single(Conn& c, const Request& r, Cmd cmd,
                       bool& shutdown_after) {
-    std::string err;
     switch (cmd) {
       case Cmd::kPing:
         append_simple(c.out, "PONG");
         return;
-      case Cmd::kMget: {
-        if (r.argv.size() < 2) {
-          append_error(c.out, "ERR MGET expects: MGET key [key ...]");
-          return;
-        }
-        std::vector<std::int64_t> keys;
-        keys.reserve(r.argv.size() - 1);
-        for (std::size_t i = 1; i < r.argv.size(); ++i) {
-          const auto k = parse_key(r.argv[i], err);
-          if (!k) {
-            append_error(c.out, err);
-            return;
-          }
-          keys.push_back(*k);
-        }
-        stats_.batched_keys.fetch_add(keys.size(),
-                                      std::memory_order_relaxed);
-        const auto vals = store_.multi_get(keys);
-        append_array_header(c.out, vals.size());
-        for (const auto& v : vals) {
-          if (v) {
-            append_bulk(c.out, *v);
-          } else {
-            append_null(c.out);
-          }
-        }
-        return;
-      }
-      case Cmd::kMset: {
-        if (r.argv.size() < 3 || r.argv.size() % 2 != 1) {
-          append_error(c.out, "ERR MSET expects: MSET key value [k v ...]");
-          return;
-        }
-        std::vector<std::pair<std::int64_t, std::string_view>> kvs;
-        kvs.reserve((r.argv.size() - 1) / 2);
-        for (std::size_t i = 1; i + 1 < r.argv.size(); i += 2) {
-          const auto k = parse_key(r.argv[i], err);
-          if (!k) {
-            append_error(c.out, err);
-            return;
-          }
-          if (r.argv[i + 1].size() > cfg_.max_value_bytes) {
-            append_error(c.out, "ERR value too large");
-            return;
-          }
-          kvs.emplace_back(*k, std::string_view(r.argv[i + 1]));
-        }
-        stats_.batched_keys.fetch_add(kvs.size(), std::memory_order_relaxed);
-        if (!apply_store(c, [&] { store_.multi_put(kvs); }, &wrote)) return;
-        append_simple(c.out, "OK");
-        return;
-      }
-      case Cmd::kMdel: {
-        if (r.argv.size() < 2) {
-          append_error(c.out, "ERR MDEL expects: MDEL key [key ...]");
-          return;
-        }
-        std::vector<std::int64_t> keys;
-        keys.reserve(r.argv.size() - 1);
-        for (std::size_t i = 1; i < r.argv.size(); ++i) {
-          const auto k = parse_key(r.argv[i], err);
-          if (!k) {
-            append_error(c.out, err);
-            return;
-          }
-          keys.push_back(*k);
-        }
-        stats_.batched_keys.fetch_add(keys.size(),
-                                      std::memory_order_relaxed);
-        std::vector<bool> removed;
-        if (!apply_store(
-                c, [&] { removed = store_.multi_remove(keys); }, &wrote)) {
-          return;
-        }
-        std::int64_t count = 0;
-        for (const bool b : removed) count += b ? 1 : 0;
-        append_integer(c.out, count);
-        return;
-      }
       case Cmd::kScan: {
         if constexpr (kHasScan) {
           if (r.argv.size() != 3) {
@@ -885,12 +865,13 @@ class Server {
             append_error(c.out, "ERR SCAN count too large");
             return;
           }
-          scan_buf_.clear();
-          store_.scan(*start, static_cast<std::size_t>(*count), scan_buf_);
-          stats_.batched_keys.fetch_add(scan_buf_.size(),
+          auto& out = scratch_.scan;
+          out.clear();
+          store_.scan(*start, static_cast<std::size_t>(*count), out);
+          stats_.batched_keys.fetch_add(out.size(),
                                         std::memory_order_relaxed);
-          append_array_header(c.out, 2 * scan_buf_.size());
-          for (const auto& [k, v] : scan_buf_) {
+          append_array_header(c.out, 2 * out.size());
+          for (const auto& [k, v] : out) {
             append_bulk(c.out, std::to_string(k));
             append_bulk(c.out, v);
           }
@@ -899,48 +880,14 @@ class Server {
         }
         return;
       }
-      case Cmd::kStats: {
-        const pmem::StatsSnapshot ps = pmem::stats_snapshot();
-        // Stores without the durability surface (plain maps in tests)
-        // report 0 checkpoints rather than dropping the field — smoke
-        // scripts parse STATS by key and rely on the key being present.
-        unsigned long long ckpts = 0;
-        if constexpr (kHasCheckpoints) {
-          ckpts = static_cast<unsigned long long>(store_.checkpoints());
-        }
-        // Stores without health() (plain maps) are always "ok" — the
-        // key stays present for the same parse-by-key reason.
-        const char* health = "ok";
-        if constexpr (kHasHealth) {
-          health = kv::to_string(store_.health());
-        }
-        char buf[512];
-        std::snprintf(
-            buf, sizeof(buf),
-            "layout=%s requests=%llu connections=%llu batched_keys=%llu "
-            "scalar_ops=%llu protocol_errors=%llu pwbs=%llu pfences=%llu "
-            "checkpoints=%llu keys=%llu health=%s open_conns=%llu "
-            "shed_conns=%llu idle_timeouts=%llu accept_backoffs=%llu "
-            "injected_faults=%llu",
-            KV::kOrdered ? "ordered" : "hashed",
-            load(stats_.requests), load(stats_.connections),
-            load(stats_.batched_keys), load(stats_.scalar_ops),
-            load(stats_.protocol_errors),
-            static_cast<unsigned long long>(ps.pwbs),
-            static_cast<unsigned long long>(ps.pfences), ckpts,
-            static_cast<unsigned long long>(store_.size()), health,
-            load(stats_.open_connections), load(stats_.shed_connections),
-            load(stats_.idle_timeouts), load(stats_.accept_backoffs),
-            static_cast<unsigned long long>(core::fp_total_injected()));
-        append_bulk(c.out, buf);
+      case Cmd::kStats:
+        append_bulk(c.out, stats_report());
         return;
-      }
       case Cmd::kShutdown:
         append_simple(c.out, "OK");
         c.closing = true;
         shutdown_after = true;
         return;
-      case Cmd::kUnknown:
       default:
         append_error(c.out, "ERR unknown command '" + r.argv[0] + "'");
         return;
@@ -955,43 +902,32 @@ class Server {
   }
 
   /// Run a store mutation, converting exceptions (pool exhaustion,
-  /// length/argument errors that slipped past validation) into one -ERR
-  /// reply. Returns false when the mutation threw — the server keeps
-  /// serving; the store's documented partial-application rules apply.
-  /// `mutated`, when given, is set whenever the store may have changed —
-  /// on success, and on failures that can leave a partially applied batch
-  /// (OutOfSpace fails element k with the prefix landed). It is NOT set
-  /// for StoreReadOnly: that refusal happens up front, before anything is
-  /// applied, so there is nothing for the commit hook to make durable —
-  /// and calling checkpoint() on a latched store would just throw again
-  /// and needlessly tear the connection down.
+  /// length/argument errors that slipped past validation) into the -ERR
+  /// text `err`, which the caller owes every request the mutation served.
+  /// Returns false when the mutation threw — the server keeps serving;
+  /// the store's documented partial-application rules apply. `mutated`
+  /// is set whenever the store may have changed — on success, and on
+  /// failures that can leave a partially applied batch (OutOfSpace fails
+  /// element k with the prefix landed). It is NOT set for StoreReadOnly:
+  /// that refusal happens up front, before anything is applied, so there
+  /// is nothing for the commit hook to make durable — and calling
+  /// checkpoint() on a latched store would just throw again and
+  /// needlessly tear the connection down.
   template <class Fn>
-  bool apply_store(Conn& c, Fn&& fn, bool* mutated = nullptr) {
-    std::string err;
-    if (apply_store_err(err, std::forward<Fn>(fn), mutated)) return true;
-    append_error(c.out, err);
-    return false;
-  }
-
-  /// Error-capturing variant for batched runs: the caller owes one reply
-  /// per request of the run, so the diagnostic must be emitted per
-  /// element, not appended once (which would desynchronize the pipeline
-  /// by an extra reply).
-  template <class Fn>
-  bool apply_store_err(std::string& err, Fn&& fn, bool* mutated = nullptr) {
+  static bool apply_store(std::string& err, Fn&& fn, bool& mutated) {
     try {
       fn();
-      if (mutated != nullptr) *mutated = true;
+      mutated = true;
       return true;
     } catch (const kv::OutOfSpace&) {
       // Pool exhausted: this mutation failed cleanly (strong exception
       // safety upstream); reads/deletes on this connection keep working.
-      if (mutated != nullptr) *mutated = true;
+      mutated = true;
       err = "ERR OUT_OF_SPACE store is full; reads and deletes still "
             "served";
       return false;
     } catch (const std::bad_alloc&) {
-      if (mutated != nullptr) *mutated = true;
+      mutated = true;
       err = "ERR out of persistent memory";
       return false;
     } catch (const kv::StoreReadOnly&) {
@@ -1001,7 +937,7 @@ class Server {
             "failure); reads still served";
       return false;
     } catch (const std::exception& e) {
-      if (mutated != nullptr) *mutated = true;
+      mutated = true;
       err = std::string("ERR ") + e.what();
       return false;
     }
@@ -1016,14 +952,21 @@ class Server {
   std::atomic<bool> stop_{false};
   std::vector<std::unique_ptr<Worker>> workers_;
   ServerStats stats_;
-  /// SCAN scratch: per-thread because every worker runs SCANs for its
-  /// own connections concurrently with the others.
-  static thread_local std::vector<std::pair<std::int64_t, std::string>>
-      scan_buf_;
+
+  /// Command-execution scratch, reused across events so a run allocates
+  /// nothing once the vectors have grown. Per-thread because every worker
+  /// executes its own connections' requests concurrently with the others.
+  struct Scratch {
+    std::vector<Cmd> cmds;
+    std::vector<std::int64_t> keys;
+    std::vector<std::pair<std::int64_t, std::string_view>> kvs;
+    std::vector<Slot> slots;
+    std::vector<std::pair<std::int64_t, std::string>> scan;
+  };
+  static thread_local Scratch scratch_;
 };
 
 template <class KV>
-thread_local std::vector<std::pair<std::int64_t, std::string>>
-    Server<KV>::scan_buf_;
+thread_local typename Server<KV>::Scratch Server<KV>::scratch_;
 
 }  // namespace flit::net

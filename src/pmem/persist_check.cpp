@@ -70,6 +70,12 @@ struct Tls {
   std::uint64_t epoch = 0;
   std::vector<PendingWord> pending;
   std::vector<DeferredPub> deferred;
+  /// This thread's latest store: the last word it covered and the seq
+  /// that store gave it. A deferred publication is identified by its own
+  /// publish store, which a link-and-persist helper on another thread may
+  /// already have superseded (flush, fence, clear the dirty flag) by the
+  /// time the publisher enlists the word.
+  PendingWord last_store;
 };
 
 Tls& tls() {
@@ -123,6 +129,7 @@ struct PersistCheck::Impl {
     if (t.epoch != e) {
       t.pending.clear();
       t.deferred.clear();
+      t.last_store = {};
       t.epoch = e;
     }
     return t;
@@ -144,6 +151,7 @@ struct PersistCheck::Impl {
     if (len == 0) return;
     const std::uintptr_t first = a & ~(kWordBytes - 1);
     const std::uintptr_t last = (a + len - 1) & ~(kWordBytes - 1);
+    PendingWord stored;
     for (std::uintptr_t w = first; w <= last; w += kWordBytes) {
       std::atomic<std::uint32_t>* st = find_word(w);
       if (st == nullptr) continue;
@@ -154,7 +162,9 @@ struct PersistCheck::Impl {
       } while (!st->compare_exchange_weak(cur, next,
                                           std::memory_order_acq_rel,
                                           std::memory_order_relaxed));
+      stored = {w, seq_of(next)};
     }
+    if (stored.addr != 0) valid_tls().last_store = stored;
   }
 
   /// True if every word of [a, a+len) is Clean; else sets *bad_word.
@@ -374,8 +384,10 @@ void PersistCheck::on_deferred_publish(const void* addr,
   std::atomic<std::uint32_t>* st = im.find_word(a);
   if (st == nullptr) return;
   Tls& t = im.valid_tls();
-  t.deferred.push_back(
-      {a, seq_of(st->load(std::memory_order_acquire)), site});
+  const std::uint32_t seq = t.last_store.addr == a
+                                ? t.last_store.seq
+                                : seq_of(st->load(std::memory_order_acquire));
+  t.deferred.push_back({a, seq, site});
 }
 
 void PersistCheck::on_complete_deferred(const void* addr) noexcept {

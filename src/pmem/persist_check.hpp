@@ -52,10 +52,11 @@
 // the region/crash lifecycle) and in the persist<>/lap_word mutation,
 // publication and retirement sites, through the pc_* helpers below. The
 // helpers compile to nothing unless FLIT_PERSIST_CHECK is defined (the
-// `persistcheck` CMake preset), and even then do nothing until a region
-// is registered (i.e. outside kSimCrash crash tests). Violations are
-// counted, attributed to their reporting site, and — unless a test
-// consumes them via reset_violations() — fail the process at exit.
+// FLIT_CHECKED CMake option, `checked` preset), and even then do nothing
+// until a region is registered (i.e. outside kSimCrash crash tests).
+// Violations are counted, attributed to their reporting site, and —
+// unless a test consumes them via reset_violations() — fail the process
+// at exit.
 #pragma once
 
 #include <cstddef>

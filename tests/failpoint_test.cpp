@@ -13,8 +13,8 @@
 //      read-only after the retry budget (the fsyncgate lesson), a
 //      swallowed close()-path msync failure latches the process-wide
 //      durability health, accept failures surface as transient errnos.
-//      These only bite in FLIT_FAILPOINTS builds (the `failpoints`
-//      preset) and GTEST_SKIP elsewhere.
+//      These only bite in FLIT_CHECKED builds (the `checked` preset)
+//      and GTEST_SKIP elsewhere.
 #include "core/failpoint.hpp"
 
 #include <gtest/gtest.h>
@@ -207,7 +207,7 @@ class FailpointInjectionTest : public flit::test::PmemTest {
 
 TEST_F(FailpointInjectionTest, PoolAllocInjectionBecomesOutOfSpace) {
   if (!core::kFailpointsEnabled) {
-    GTEST_SKIP() << "needs the failpoints preset (FLIT_FAILPOINTS=ON)";
+    GTEST_SKIP() << "needs the checked preset (FLIT_CHECKED=ON)";
   }
   KvStore kv(2, 64);
   kv.put(1, "before");
@@ -233,7 +233,7 @@ TEST_F(FailpointInjectionTest, PoolAllocInjectionBecomesOutOfSpace) {
 // apply order equal to batch order so the prefix is checkable directly.
 TEST_F(FailpointInjectionTest, MultiPutEveryNthAllocLeavesCleanPrefix) {
   if (!core::kFailpointsEnabled) {
-    GTEST_SKIP() << "needs the failpoints preset (FLIT_FAILPOINTS=ON)";
+    GTEST_SKIP() << "needs the checked preset (FLIT_CHECKED=ON)";
   }
   constexpr std::size_t kBatch = 32;
   KvStore kv(1, 256);
@@ -286,7 +286,7 @@ TEST_F(FailpointInjectionTest, MultiPutEveryNthAllocLeavesCleanPrefix) {
 // retry with backoff, then latch degraded read-only — not ack, not loop.
 TEST_F(FailpointInjectionTest, MsyncFailureLatchesDegradedReadOnly) {
   if (!core::kFailpointsEnabled) {
-    GTEST_SKIP() << "needs the failpoints preset (FLIT_FAILPOINTS=ON)";
+    GTEST_SKIP() << "needs the checked preset (FLIT_CHECKED=ON)";
   }
   const std::string path = temp_path();
   pmem::FileRegion::destroy(path);
@@ -328,7 +328,7 @@ TEST_F(FailpointInjectionTest, MsyncFailureLatchesDegradedReadOnly) {
 // now latches the process-wide durability health instead of vanishing.
 TEST_F(FailpointInjectionTest, CloseMsyncFailureLatchesProcessHealth) {
   if (!core::kFailpointsEnabled) {
-    GTEST_SKIP() << "needs the failpoints preset (FLIT_FAILPOINTS=ON)";
+    GTEST_SKIP() << "needs the checked preset (FLIT_CHECKED=ON)";
   }
   const std::string path = temp_path();
   pmem::FileRegion::destroy(path);
@@ -349,7 +349,7 @@ TEST_F(FailpointInjectionTest, CloseMsyncFailureLatchesProcessHealth) {
 // durability story is broken.
 TEST_F(FailpointInjectionTest, StoreHealthFoldsProcessLatchWhenFileBacked) {
   if (!core::kFailpointsEnabled) {
-    GTEST_SKIP() << "needs the failpoints preset (FLIT_FAILPOINTS=ON)";
+    GTEST_SKIP() << "needs the checked preset (FLIT_CHECKED=ON)";
   }
   const std::string path = temp_path();
   pmem::FileRegion::destroy(path);
@@ -369,7 +369,7 @@ TEST_F(FailpointInjectionTest, StoreHealthFoldsProcessLatchWhenFileBacked) {
 
 TEST_F(FailpointInjectionTest, AcceptInjectionReportsTransientErrno) {
   if (!core::kFailpointsEnabled) {
-    GTEST_SKIP() << "needs the failpoints preset (FLIT_FAILPOINTS=ON)";
+    GTEST_SKIP() << "needs the checked preset (FLIT_CHECKED=ON)";
   }
   net::SocketFd listener = net::listen_tcp("127.0.0.1", 0);
   arm("net.accept=once");  // site default: EMFILE
@@ -385,7 +385,7 @@ TEST_F(FailpointInjectionTest, AcceptInjectionReportsTransientErrno) {
 
 TEST_F(FailpointInjectionTest, ReadAndWriteInjectionSimulateDeadPeer) {
   if (!core::kFailpointsEnabled) {
-    GTEST_SKIP() << "needs the failpoints preset (FLIT_FAILPOINTS=ON)";
+    GTEST_SKIP() << "needs the checked preset (FLIT_CHECKED=ON)";
   }
   int fds[2];
   ASSERT_EQ(::pipe(fds), 0);

@@ -11,9 +11,10 @@
 //   3. Recorded stress runs: concurrent workloads over the otherwise
 //      dead-code ds::NatarajanBst and ds::LockedBPlusTree (recorded
 //      directly via the Recorder, so these run in every build) and over
-//      kv::Store scalar/batched/ordered paths (via the FLIT_LINCHECK
-//      hooks, so those skip elsewhere) must produce zero findings.
-//   4. Seeded-bug validation (FLIT_LINCHECK builds): each
+//      kv::Store scalar/batched/ordered paths (via the LinCheck hooks
+//      of FLIT_CHECKED builds, so those skip elsewhere) must produce
+//      zero findings.
+//   4. Seeded-bug validation (FLIT_CHECKED builds): each
 //      FLIT_LINCHECK_UNSAFE mode plants one precise bug in the kv layer
 //      and the checker must catch it with the right class and site; plus
 //      the durable-linearizability sweep replaying pfence-boundary crash
@@ -600,13 +601,13 @@ TEST_F(LinCheckDsStress, LockedBPlusTreeHistoryLinearizable) {
 
 // --- 3c. recorded stress: the kv store hooks -------------------------------
 //
-// These use the FLIT_LINCHECK recording hooks inside kv::Store, so they
-// only observe events in lincheck builds and skip elsewhere.
+// These use the LinCheck recording hooks inside kv::Store, so they only
+// observe events in checked builds and skip elsewhere.
 
 class LinCheckStoreStress : public PmemTest {};
 
 TEST_F(LinCheckStoreStress, ScalarOpsHistoryLinearizable) {
-  if (!check::kLinCheckEnabled) GTEST_SKIP() << "needs -DFLIT_LINCHECK=ON";
+  if (!check::kLinCheckEnabled) GTEST_SKIP() << "needs FLIT_CHECKED=ON";
   constexpr K kRange = 64;
   constexpr int kThreads = 4, kOps = 1200;
   kv::Store<HashedWords, Automatic> kv(4, 64);
@@ -651,7 +652,7 @@ TEST_F(LinCheckStoreStress, ScalarOpsHistoryLinearizable) {
 }
 
 TEST_F(LinCheckStoreStress, BatchedOpsHistoryLinearizable) {
-  if (!check::kLinCheckEnabled) GTEST_SKIP() << "needs -DFLIT_LINCHECK=ON";
+  if (!check::kLinCheckEnabled) GTEST_SKIP() << "needs FLIT_CHECKED=ON";
   constexpr K kRange = 48;
   constexpr int kThreads = 4, kBatches = 250, kBatch = 4;
   kv::Store<HashedWords, Automatic> kv(4, 64);
@@ -706,7 +707,7 @@ TEST_F(LinCheckStoreStress, BatchedOpsHistoryLinearizable) {
 }
 
 TEST_F(LinCheckStoreStress, OrderedOpsAndScansHistoryLinearizable) {
-  if (!check::kLinCheckEnabled) GTEST_SKIP() << "needs -DFLIT_LINCHECK=ON";
+  if (!check::kLinCheckEnabled) GTEST_SKIP() << "needs FLIT_CHECKED=ON";
   constexpr K kRange = 48;
   constexpr int kThreads = 4, kOps = 700;
   kv::OrderedStore<LapWords, Automatic> kv(2, 64);
@@ -770,7 +771,7 @@ class LinCheckSeeded : public PmemTest {
 };
 
 TEST_F(LinCheckSeeded, StaleReadCaughtWithClassAndKey) {
-  if (!check::kLinCheckEnabled) GTEST_SKIP() << "needs -DFLIT_LINCHECK=ON";
+  if (!check::kLinCheckEnabled) GTEST_SKIP() << "needs FLIT_CHECKED=ON";
   kv::Store<HashedWords, Automatic> kv(2, 32);
   auto& rec = check::Recorder::instance();
   rec.reset();
@@ -797,7 +798,7 @@ TEST_F(LinCheckSeeded, StaleReadCaughtWithClassAndKey) {
 }
 
 TEST_F(LinCheckSeeded, LostUpdateCaughtWithClassAndKey) {
-  if (!check::kLinCheckEnabled) GTEST_SKIP() << "needs -DFLIT_LINCHECK=ON";
+  if (!check::kLinCheckEnabled) GTEST_SKIP() << "needs FLIT_CHECKED=ON";
   kv::Store<HashedWords, Automatic> kv(2, 32);
   auto& rec = check::Recorder::instance();
   rec.reset();
@@ -821,7 +822,7 @@ TEST_F(LinCheckSeeded, LostUpdateCaughtWithClassAndKey) {
 }
 
 TEST_F(LinCheckSeeded, EarlyRetireCaughtWithSiteAttribution) {
-  if (!check::kLinCheckEnabled) GTEST_SKIP() << "needs -DFLIT_LINCHECK=ON";
+  if (!check::kLinCheckEnabled) GTEST_SKIP() << "needs FLIT_CHECKED=ON";
   kv::Store<HashedWords, Automatic> kv(2, 32);
   auto& lt = check::Lifetime::instance();
   ASSERT_EQ(lt.total_violations(), 0u);
@@ -850,7 +851,7 @@ TEST_F(LinCheckSeeded, EarlyRetireCaughtWithSiteAttribution) {
 class LinCheckEnvSeeded : public PmemTest {};
 
 TEST_F(LinCheckEnvSeeded, DetectsConfiguredBug) {
-  if (!check::kLinCheckEnabled) GTEST_SKIP() << "needs -DFLIT_LINCHECK=ON";
+  if (!check::kLinCheckEnabled) GTEST_SKIP() << "needs FLIT_CHECKED=ON";
   const check::UnsafeMode mode = check::unsafe_mode();
   if (mode == check::UnsafeMode::kNone) {
     GTEST_SKIP() << "FLIT_LINCHECK_UNSAFE not set";
@@ -945,7 +946,7 @@ using CrashConfigs = ::testing::Types<
 TYPED_TEST_SUITE(LinCheckDurableSweep, CrashConfigs);
 
 TYPED_TEST(LinCheckDurableSweep, CrashImagesAreDurablyLinearizable) {
-  if (!check::kLinCheckEnabled) GTEST_SKIP() << "needs -DFLIT_LINCHECK=ON";
+  if (!check::kLinCheckEnabled) GTEST_SKIP() << "needs FLIT_CHECKED=ON";
   constexpr K kRange = 24;
 
   auto& rec = check::Recorder::instance();

@@ -88,7 +88,7 @@ TEST_F(NetServerTest, PipelinedRunsBecomeMultiOps) {
   }
   // The bursts must have gone down the batched multi-op path: the exact
   // split depends on readiness-event timing, but with 2×48 pipelined
-  // same-command requests at least some runs batch.
+  // requests of one kind at least some runs batch.
   EXPECT_GT(h.server.stats().batched_keys.load(), 0u);
   // Replies stay in request order across a mixed run boundary: a GET
   // pipelined after a SET of the same key sees the SET.
@@ -119,6 +119,38 @@ TEST_F(NetServerTest, MsetMgetMdel) {
   EXPECT_EQ(c.command({"GET", "12"}).str, "c");
 }
 
+TEST_F(NetServerTest, MixedKindRunsMatchOneAtATimeExecution) {
+  // One pipelined burst whose adjacent requests of one kind merge into a
+  // single store call: SET/MSET into one multi_put (duplicate key 1 is
+  // last-wins), GET/MGET into one multi_get, DEL/MDEL into one
+  // multi_remove (key 1 removed by the DEL, so the MDEL finds only 2).
+  // Every reply must be what one-at-a-time execution gives.
+  Harness<HashedKv> h(hashed());
+  Client c = h.connect();
+  c.enqueue({"SET", "1", "a"});
+  c.enqueue({"MSET", "1", "b", "2", "c"});
+  c.enqueue({"SET", "1", "d"});
+  c.enqueue({"GET", "1"});
+  c.enqueue({"MGET", "1", "2", "999"});
+  c.enqueue({"GET", "2"});
+  c.enqueue({"DEL", "1"});
+  c.enqueue({"MDEL", "1", "2"});
+  c.flush();
+  for (int i = 0; i < 3; ++i) EXPECT_TRUE(c.read_reply().ok()) << i;
+  EXPECT_EQ(c.read_reply().str, "d");
+  const Reply m = c.read_reply();
+  ASSERT_EQ(m.type, Reply::Type::kArray);
+  ASSERT_EQ(m.elems.size(), 3u);
+  EXPECT_EQ(m.elems[0].str, "d");
+  EXPECT_EQ(m.elems[1].str, "c");
+  EXPECT_TRUE(m.elems[2].is_null());
+  EXPECT_EQ(c.read_reply().str, "c");
+  EXPECT_EQ(c.read_reply().integer, 1);
+  EXPECT_EQ(c.read_reply().integer, 1);
+  EXPECT_TRUE(c.command({"MGET", "1", "2"}).elems[0].is_null());
+  EXPECT_EQ(h.store.size(), 0u);
+}
+
 TEST_F(NetServerTest, CommandErrorsAreRecoverable) {
   Harness<HashedKv> h(hashed());
   Client c = h.connect();
@@ -142,6 +174,33 @@ TEST_F(NetServerTest, CommandErrorsAreRecoverable) {
   EXPECT_EQ(c.read_reply().str, "fine");
   EXPECT_TRUE(c.read_reply().is_error());
   EXPECT_EQ(c.read_reply().str, "fine");
+  // The same holds for MGET/MSET inside GET/SET runs: a multi-key
+  // request is validated as a whole, so one bad key (or odd arity) errors
+  // that request only and applies none of its keys.
+  c.enqueue({"GET", "5"});
+  c.enqueue({"MGET", "5", "bogus"});
+  c.enqueue({"GET", "5"});
+  c.flush();
+  EXPECT_EQ(c.read_reply().str, "fine");
+  EXPECT_TRUE(c.read_reply().is_error());
+  EXPECT_EQ(c.read_reply().str, "fine");
+  c.enqueue({"SET", "6", "a"});
+  c.enqueue({"MSET", "7", "b", "9223372036854775807", "c"});  // reserved
+  c.enqueue({"SET", "8", "d"});
+  c.enqueue({"MSET", "7", "b", "9"});  // arity
+  c.enqueue({"SET", "9", "e"});
+  c.flush();
+  EXPECT_TRUE(c.read_reply().ok());
+  EXPECT_TRUE(c.read_reply().is_error());
+  EXPECT_TRUE(c.read_reply().ok());
+  EXPECT_TRUE(c.read_reply().is_error());
+  EXPECT_TRUE(c.read_reply().ok());
+  const Reply r = c.command({"MGET", "6", "7", "8", "9"});
+  ASSERT_EQ(r.elems.size(), 4u);
+  EXPECT_EQ(r.elems[0].str, "a");
+  EXPECT_TRUE(r.elems[1].is_null());
+  EXPECT_EQ(r.elems[2].str, "d");
+  EXPECT_EQ(r.elems[3].str, "e");
 }
 
 TEST_F(NetServerTest, ScanOnOrderedLayout) {
@@ -269,10 +328,34 @@ TEST_F(NetServerTest, StatsAndDurabilityCounters) {
   EXPECT_NE(r.str.find("keys=1"), std::string::npos);
 }
 
+TEST_F(NetServerTest, StatsCountKeysByStoreCallSize) {
+  // scalar_ops counts the keys of store calls that carried one key,
+  // batched_keys the rest — whatever command the keys came from.
+  Harness<HashedKv> h(hashed());
+  Client c = h.connect();
+  const ServerStats& st = h.server.stats();
+  ASSERT_TRUE(c.command({"MSET", "5", "x"}).ok());
+  EXPECT_EQ(st.scalar_ops.load(), 1u);
+  EXPECT_EQ(st.batched_keys.load(), 0u);
+  ASSERT_EQ(c.command({"MGET", "5", "6"}).elems.size(), 2u);
+  EXPECT_EQ(st.scalar_ops.load(), 1u);
+  EXPECT_EQ(st.batched_keys.load(), 2u);
+  // A pipelined run whose other requests fail validation makes a
+  // one-key call.
+  c.enqueue({"GET", "5"});
+  c.enqueue({"GET", "bogus"});
+  c.flush();
+  EXPECT_EQ(c.read_reply().str, "x");
+  EXPECT_TRUE(c.read_reply().is_error());
+  EXPECT_EQ(st.scalar_ops.load(), 2u);
+  EXPECT_EQ(st.batched_keys.load(), 2u);
+}
+
 TEST_F(NetServerTest, AllInvalidWriteRunsDoNotCheckpoint) {
-  // A SET or DEL run whose every element fails validation applies
+  // A write or remove run whose every request fails validation applies
   // nothing, so under kAlways it must not checkpoint: that msync would
-  // make nothing durable. Covers multi-request runs and a run of one.
+  // make nothing durable. Covers SET, DEL, MSET and MDEL runs, a mixed
+  // SET+MSET run, multi-request runs and runs of one.
   const std::string path =
       "/tmp/flit_net_server_invalid_" + std::to_string(::getpid()) + ".pmem";
   pmem::FileRegion::destroy(path);
@@ -294,9 +377,24 @@ TEST_F(NetServerTest, AllInvalidWriteRunsDoNotCheckpoint) {
     c.enqueue({"DEL"});
     c.flush();
     for (int i = 0; i < 2; ++i) EXPECT_TRUE(c.read_reply().is_error()) << i;
+    c.enqueue({"MSET", "3", "v", "bogus", "v"});
+    c.enqueue({"MSET", "3", "v", "4"});  // arity
+    c.flush();
+    for (int i = 0; i < 2; ++i) EXPECT_TRUE(c.read_reply().is_error()) << i;
+    c.enqueue({"MDEL", "1", "bogus"});
+    c.enqueue({"MDEL"});
+    c.flush();
+    for (int i = 0; i < 2; ++i) EXPECT_TRUE(c.read_reply().is_error()) << i;
+    c.enqueue({"SET", "bogus", "v"});
+    c.enqueue({"MSET", "3", "v", "-9223372036854775808", "v"});
+    c.flush();
+    for (int i = 0; i < 2; ++i) EXPECT_TRUE(c.read_reply().is_error()) << i;
     EXPECT_TRUE(c.command({"SET", "bogus", "v"}).is_error());
+    EXPECT_TRUE(c.command({"MSET", "3"}).is_error());
+    EXPECT_TRUE(c.command({"MDEL", "bogus"}).is_error());
     EXPECT_EQ(h.store.checkpoints(), before);
     EXPECT_EQ(c.command({"GET", "1"}).str, "v");
+    EXPECT_TRUE(c.command({"GET", "3"}).is_null());
   }
   pmem::FileRegion::destroy(path);
 }
@@ -463,12 +561,12 @@ TEST_F(NetServerTest, StatsCarriesOverloadAndHealthFields) {
   }
 }
 
-// Failpoint-armed regression (failpoints preset only): a kAlways commit
+// Failpoint-armed regression (checked preset only): a kAlways commit
 // whose msync fails must withdraw the event's acknowledgements — never
 // ack a write the store could not make durable — and latch READONLY.
 TEST_F(NetServerTest, CommitFailureWithdrawsAcksAndLatchesReadOnly) {
   if (!core::kFailpointsEnabled) {
-    GTEST_SKIP() << "needs the failpoints preset (FLIT_FAILPOINTS=ON)";
+    GTEST_SKIP() << "needs the checked preset (FLIT_CHECKED=ON)";
   }
   const std::string path =
       "/tmp/flit_net_server_ro_" + std::to_string(::getpid()) + ".pmem";

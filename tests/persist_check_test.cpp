@@ -13,10 +13,13 @@
 
 #include <cstring>
 #include <optional>
+#include <new>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
+#include "core/link_and_persist.hpp"
 #include "ds/batch.hpp"
 #include "kv/store.hpp"
 #include "pmem/backend.hpp"
@@ -50,7 +53,7 @@ class PersistCheckTest : public PmemTest {
   }
 
   /// Arm the checker: simulate crashes on the pool (registration hooks
-  /// PersistCheck in FLIT_PERSIST_CHECK builds).
+  /// PersistCheck in FLIT_CHECKED builds).
   static void arm() { Pool::instance().register_with_sim(); }
 };
 
@@ -61,7 +64,7 @@ std::uint64_t count(PersistViolation v) {
 }
 
 TEST_F(PersistCheckTest, DisarmedWithoutRegions) {
-  if (!kPersistCheckEnabled) GTEST_SKIP() << "FLIT_PERSIST_CHECK is off";
+  if (!kPersistCheckEnabled) GTEST_SKIP() << "needs FLIT_CHECKED=ON";
   BackendScope scope(Backend::kSimCrash);
   EXPECT_FALSE(PersistCheck::instance().armed());
   // Unregistered memory: every hook is a no-op, even on "dirty" data.
@@ -71,7 +74,7 @@ TEST_F(PersistCheckTest, DisarmedWithoutRegions) {
 }
 
 TEST_F(PersistCheckTest, CleanScalarWorkloadHasZeroViolations) {
-  if (!kPersistCheckEnabled) GTEST_SKIP() << "FLIT_PERSIST_CHECK is off";
+  if (!kPersistCheckEnabled) GTEST_SKIP() << "needs FLIT_CHECKED=ON";
   BackendScope scope(Backend::kSimCrash);
   arm();
   ASSERT_TRUE(PersistCheck::instance().armed());
@@ -90,7 +93,7 @@ TEST_F(PersistCheckTest, CleanScalarWorkloadHasZeroViolations) {
 }
 
 TEST_F(PersistCheckTest, CleanBatchedWorkloadHasZeroViolations) {
-  if (!kPersistCheckEnabled) GTEST_SKIP() << "FLIT_PERSIST_CHECK is off";
+  if (!kPersistCheckEnabled) GTEST_SKIP() << "needs FLIT_CHECKED=ON";
   BackendScope scope(Backend::kSimCrash);
   arm();
   {
@@ -110,7 +113,7 @@ TEST_F(PersistCheckTest, CleanBatchedWorkloadHasZeroViolations) {
 }
 
 TEST_F(PersistCheckTest, SuppressedPwbFiresPublishUnpersisted) {
-  if (!kPersistCheckEnabled) GTEST_SKIP() << "FLIT_PERSIST_CHECK is off";
+  if (!kPersistCheckEnabled) GTEST_SKIP() << "needs FLIT_CHECKED=ON";
   BackendScope scope(Backend::kSimCrash);
   arm();
   kv::Store<HashedWords, Automatic> store(1, 64);
@@ -132,7 +135,7 @@ TEST_F(PersistCheckTest, SuppressedPwbFiresPublishUnpersisted) {
 }
 
 TEST_F(PersistCheckTest, UnpersistedRetireFiresMissingFlushLeak) {
-  if (!kPersistCheckEnabled) GTEST_SKIP() << "FLIT_PERSIST_CHECK is off";
+  if (!kPersistCheckEnabled) GTEST_SKIP() << "needs FLIT_CHECKED=ON";
   BackendScope scope(Backend::kSimCrash);
   arm();
 
@@ -150,7 +153,7 @@ TEST_F(PersistCheckTest, UnpersistedRetireFiresMissingFlushLeak) {
 }
 
 TEST_F(PersistCheckTest, RetireBeforeBatchFenceFiresPrematureRetire) {
-  if (!kPersistCheckEnabled) GTEST_SKIP() << "FLIT_PERSIST_CHECK is off";
+  if (!kPersistCheckEnabled) GTEST_SKIP() << "needs FLIT_CHECKED=ON";
   BackendScope scope(Backend::kSimCrash);
   arm();
   HashedShard shard(64);
@@ -185,7 +188,7 @@ TEST_F(PersistCheckTest, RetireBeforeBatchFenceFiresPrematureRetire) {
 }
 
 TEST_F(PersistCheckTest, CompleteWithoutFenceFiresDeferredDangling) {
-  if (!kPersistCheckEnabled) GTEST_SKIP() << "FLIT_PERSIST_CHECK is off";
+  if (!kPersistCheckEnabled) GTEST_SKIP() << "needs FLIT_CHECKED=ON";
   BackendScope scope(Backend::kSimCrash);
   arm();
   HashedShard shard(64);
@@ -218,8 +221,39 @@ TEST_F(PersistCheckTest, CompleteWithoutFenceFiresDeferredDangling) {
   PersistCheck::instance().reset_violations();
 }
 
+TEST_F(PersistCheckTest, HelperFlagClearBeforeEnlistIsNotDangling) {
+  if (!kPersistCheckEnabled) GTEST_SKIP() << "needs FLIT_CHECKED=ON";
+  BackendScope scope(Backend::kSimCrash);
+  arm();
+  using Word = lap_word<std::uint64_t*>;
+  alignas(8) static std::uint64_t published = 0, other = 0;
+  Word* w = new (Pool::instance().alloc(sizeof(Word))) Word(nullptr);
+  persist_range(w, sizeof(Word));
+
+  // The publisher's deferred CAS installs the value with the dirty flag
+  // up and flushes it...
+  std::uint64_t* expected = nullptr;
+  ASSERT_TRUE(w->cas_deferred(expected, &published));
+  // ...and before it enlists the word, a CAS on another thread meets the
+  // flag and helps: it flushes, fences and clears the flag (a store),
+  // then fails on the value. The publication is now durable.
+  std::thread([w] {
+    std::uint64_t* stale = &other;
+    EXPECT_FALSE(w->cas(stale, &other));
+  }).join();
+
+  // The publisher's batch completes by the protocol: no diagnostic.
+  ds::PublishBatch batch;
+  batch.reserve(1);
+  batch.enlist(*w, &published);
+  pfence();
+  batch.complete_all();
+  EXPECT_EQ(count(PersistViolation::kDeferredDangling), 0u);
+  EXPECT_EQ(w->load(), &published);
+}
+
 TEST_F(PersistCheckTest, RedundantPwbLintCountsCleanLineFlushes) {
-  if (!kPersistCheckEnabled) GTEST_SKIP() << "FLIT_PERSIST_CHECK is off";
+  if (!kPersistCheckEnabled) GTEST_SKIP() << "needs FLIT_CHECKED=ON";
   BackendScope scope(Backend::kSimCrash);
   arm();
   void* p = Pool::instance().alloc(64);
